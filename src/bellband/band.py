@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AngleTriple, require_q_plus
+from .core import PROB_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
 from .errors import DomainError, InfeasibleError
 from .sampling import JointDistribution4
 
@@ -48,43 +48,40 @@ class Interval:
         return self.lo - tol <= x <= self.hi + tol
 
 
+def band_limits(points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact endpoints (lo, hi) of the fourth-correlation values allowed
+    by the CHSH inequalities, elementwise over triples of shape (..., 3)
+    in the positive cube."""
+    pts = q_plus_points(points)
+    c1, c2, c3 = (singlet_correlation(pts[..., k]) for k in range(3))
+    r1 = 2.0 - np.abs(c1 + c2)
+    r2 = 2.0 - np.abs(c1 - c2)
+    lo = np.maximum(np.maximum(c3 - r1, -c3 - r2), -1.0)
+    hi = np.minimum(np.minimum(c3 + r1, -c3 + r2), 1.0)
+    # nonempty by r1 + r2 = 4 - 2*max(|c1|,|c2|) >= 2 >= 2|c3|;
+    # collapse pure rounding gaps
+    gap = lo - hi
+    if np.any(gap > 1e-12):
+        raise DomainError("band unexpectedly empty")
+    collapsed = gap > 0.0
+    mid = 0.5 * (lo + hi)
+    return np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
+
+
 def feasible_band(theta: AngleTriple) -> Interval:
     """Exact interval of fourth-correlation values allowed by the CHSH
     inequalities at a configuration in the positive cube."""
-    require_q_plus(theta)
-    c1 = -math.cos(theta.theta1)
-    c2 = -math.cos(theta.theta2)
-    c3 = -math.cos(theta.theta3)
-    r1 = 2.0 - abs(c1 + c2)
-    r2 = 2.0 - abs(c1 - c2)
-    lo = max(c3 - r1, -c3 - r2, -1.0)
-    hi = min(c3 + r1, -c3 + r2, 1.0)
-    if lo > hi:
-        # nonempty by r1 + r2 = 4 - 2*max(|c1|,|c2|) >= 2 >= 2|c3|;
-        # collapse pure rounding gaps
-        if lo - hi > 1e-12:
-            raise DomainError(f"band unexpectedly empty at {theta}")
-        lo = hi = 0.5 * (lo + hi)
-    return Interval(lo, hi)
+    lo, hi = band_limits(theta.as_array())
+    return Interval(float(lo), float(hi))
 
 
 def band_map(resolution: int) -> np.ndarray:
     """Band endpoints over the uniform resolution^3 grid on the positive
     cube, as rows (theta1, theta2, theta3, lo, hi, width) in theta1-major
     order."""
-    resolution = int(resolution)
-    if resolution < 2:
-        raise DomainError(f"resolution must be >= 2, got {resolution}")
-    axis = np.linspace(0.0, math.pi, resolution)
-    rows = np.empty((resolution ** 3, 6))
-    k = 0
-    for t1 in axis:
-        for t2 in axis:
-            for t3 in axis:
-                band = feasible_band(AngleTriple(t1, t2, t3))
-                rows[k] = (t1, t2, t3, band.lo, band.hi, band.width)
-                k += 1
-    return rows
+    points = grid_points(resolution)
+    lo, hi = band_limits(points)
+    return np.column_stack([points, lo, hi, hi - lo])
 
 
 # --- LP oracle over distributions on {+-1}^4 -------------------------------
@@ -135,7 +132,9 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
             raise DomainError(f"{name} = {v} is not a correlation in [-1, 1]")
     b = np.array([1.0, c1, c2, c3])
     sols = _INV @ b
-    feasible = np.all(sols >= -_FEAS_TOL, axis=1)
+    # basic solutions are probabilities: a basis is feasible only to
+    # probability rounding, or extremes escape [-1, 1] at collapsed bands
+    feasible = np.all(sols >= -PROB_TOL, axis=1)
     if not feasible.any():
         raise InfeasibleError(f"no distribution matches moments ({c1}, {c2}, {c3})")
     objs = np.sum(sols * _OBJ_NS, axis=1)

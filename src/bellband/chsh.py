@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import AngleTriple, empirical_correlation, require_q_plus
+from .core import AngleTriple, empirical_correlation, q_plus_points, singlet_correlation
 from .errors import DomainError
 
 #: slack on all inequality checks; anything within it counts as satisfied
@@ -71,10 +71,5 @@ def correlations_from_angles(theta: AngleTriple, candidate) -> CorrelationVector
     """Correlation vector at a configuration in the positive cube: the
     three known cosine correlations plus the candidate's value for the
     fourth."""
-    require_q_plus(theta)
-    return CorrelationVector(
-        c1=-math.cos(theta.theta1),
-        c2=-math.cos(theta.theta2),
-        c3=-math.cos(theta.theta3),
-        c4=candidate.evaluate(theta),
-    )
+    c1, c2, c3 = singlet_correlation(q_plus_points(theta.as_array()))
+    return CorrelationVector(c1, c2, c3, candidate.evaluate(theta))

@@ -16,13 +16,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .band import band_map, feasible_band, lp_band
+from .band import band_map, feasible_band, feasible_distribution, lp_band
 from .chsh import boole_check, chsh_value, correlations_from_angles, polytope_member
-from .core import AngleTriple, empirical_correlation
+from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
 from .errors import BellbandError
 from .f4 import F4Candidate, contradiction_report, inequality_scan
 from .sampling import sample_lhv_pairs, sample_octet, sample_singlet_pairs
-from .band import feasible_distribution
 
 
 def _format_number(x) -> str:
@@ -191,32 +190,29 @@ def _cmd_simulate(args) -> dict:
     return {
         "out": args.out,
         "empirical_correlation": empirical_correlation(a, b),
-        "expected_correlation": -math.cos(theta),
+        "expected_correlation": twisted_malus(theta),
     }
 
 
 def _cmd_lhv(args) -> dict:
     ta, tb = _angle(args, args.theta_a), _angle(args, args.theta_b)
     a, b = sample_lhv_pairs(ta, tb, args.n, args.seed)
-    gap = abs(ta - tb)
-    expected = -1.0 + 2.0 * gap / math.pi if gap <= math.pi else None
-    return_doc = {
+    # circular gap in [0, pi]; fmod is exact, so gaps up to pi keep every bit
+    gap = math.fmod(abs(ta - tb), TWO_PI)
+    gap = min(gap, TWO_PI - gap)
+    _write_sequence_csv(args.out, {"a": a, "b": b})
+    return {
         "out": args.out,
         "empirical_correlation": empirical_correlation(a, b),
+        "expected_correlation": -1.0 + 2.0 * gap / math.pi,
     }
-    if expected is not None:
-        return_doc["expected_correlation"] = expected
-    _write_sequence_csv(args.out, {"a": a, "b": b})
-    return return_doc
 
 
 def _cmd_octet(args) -> dict:
     theta = _triple(args)
     interval = feasible_band(theta)
     f = interval.midpoint if args.f is None else args.f
-    c1 = -math.cos(theta.theta1)
-    c2 = -math.cos(theta.theta2)
-    c3 = -math.cos(theta.theta3)
+    c1, c2, c3 = singlet_correlation(theta.as_array()).tolist()
     dist = feasible_distribution(c1, c2, c3, f)
     octet = sample_octet(dist, args.n, args.seed)
     _write_sequence_csv(
@@ -266,8 +262,7 @@ def _cmd_band_map(args) -> dict:
     rows = band_map(args.resolution)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("theta1,theta2,theta3,lo,hi,width\n")
-        for row in rows:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
     return {"out": args.out, "rows": int(rows.shape[0])}
 
 

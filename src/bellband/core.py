@@ -33,12 +33,18 @@ def wrap_angle(x: float) -> float:
     return y - math.pi
 
 
+def singlet_correlation(theta):
+    """Singlet correlation -cos(theta), elementwise over arrays of relative
+    detector angles; callers validate the angles."""
+    return -np.cos(theta)
+
+
 def twisted_malus(theta: float) -> float:
     """Singlet correlation -cos(theta) at relative detector angle theta."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise DomainError(f"angle must be finite, got {theta}")
-    return -math.cos(theta)
+    return float(singlet_correlation(theta))
 
 
 @dataclass(frozen=True)
@@ -87,13 +93,33 @@ class AngleTriple:
         return np.array([self.theta1, self.theta2, self.theta3])
 
 
-def require_q_plus(theta: AngleTriple) -> AngleTriple:
-    if not theta.in_q_plus:
-        raise DomainError(
-            f"triple ({theta.theta1}, {theta.theta2}, {theta.theta3}) "
-            "lies outside the positive cube [0, pi]^3"
-        )
-    return theta
+def q_plus_points(points) -> np.ndarray:
+    """Validate reduced triples given as an array of shape (..., 3) with
+    every component in [0, pi]; return them as float64."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != 3:
+        raise ShapeError(f"expected triples of shape (..., 3), got shape {pts.shape}")
+    # written so that NaN fails it too
+    outside = ~np.all((pts >= 0.0) & (pts <= math.pi), axis=-1)
+    if np.any(outside):
+        bad = tuple(pts[outside][0].tolist())
+        raise DomainError(f"triple {bad} lies outside the positive cube [0, pi]^3")
+    return pts
+
+
+#: largest grid resolution, checked before any table is allocated: 8e6 points
+MAX_GRID_RESOLUTION = 200
+
+
+def grid_points(resolution: int) -> np.ndarray:
+    """The uniform resolution^3 node lattice on the positive cube as rows
+    (theta1, theta2, theta3) in theta1-major order."""
+    resolution = int(resolution)
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise DomainError(f"resolution must lie in [2, {MAX_GRID_RESOLUTION}], got {resolution}")
+    axis = np.linspace(0.0, math.pi, resolution)
+    lattice = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
+    return np.stack(lattice, axis=-1).reshape(-1, 3)
 
 
 def reduce_angles(q: AngleQuadruplet) -> AngleTriple:
@@ -148,15 +174,10 @@ class JointDistribution2:
 def singlet_joint(theta: float) -> JointDistribution2:
     """Joint outcome distribution of a singlet pair measured at relative
     angle theta: uniform marginals with product mean -cos(theta)."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"angle must be finite, got {theta}")
-    c = math.cos(theta)
-    same = (1.0 - c) / 4.0
-    diff = (1.0 + c) / 4.0
+    e = twisted_malus(theta)
     # rounding can leave a tiny negative lobe at the endpoints
-    same = max(same, 0.0)
-    diff = max(diff, 0.0)
+    same = max((1.0 + e) / 4.0, 0.0)
+    diff = max((1.0 - e) / 4.0, 0.0)
     return JointDistribution2(p_pp=same, p_pm=diff, p_mp=diff, p_mm=same)
 
 

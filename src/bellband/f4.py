@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 from scipy.stats import qmc
 
-from .band import feasible_band
-from .core import AngleTriple, require_q_plus
+# feasible_band stays importable from this module for existing callers
+from .band import band_limits, feasible_band  # noqa: F401
+from .core import AngleTriple, grid_points, q_plus_points, singlet_correlation
 from .errors import DomainError, GridFormatError
 
 _DIAG_DIR = np.full(3, 1.0 / math.sqrt(3.0))
@@ -113,44 +114,60 @@ class F4Candidate:
             }
         )
 
-    def _interpolate(self, t: np.ndarray) -> float:
+    def _key(self) -> tuple:
+        values = None if self.grid_values is None else self.grid_values.tobytes()
+        return (self.kind, self.name, self.grid_resolution, values)
+
+    def __eq__(self, other):
+        return isinstance(other, F4Candidate) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _interpolate(self, pts: np.ndarray) -> np.ndarray:
+        """Trilinear interpolation, summing the eight corners in d1, d2, d3 order."""
         r = self.grid_resolution
-        x = t / math.pi * (r - 1)
+        x = pts / math.pi * (r - 1)
         i0 = np.clip(np.floor(x).astype(int), 0, r - 2)
         w = x - i0
-        v = 0.0
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                for d3 in (0, 1):
-                    node = self.grid_values[i0[0] + d1, i0[1] + d2, i0[2] + d3]
-                    weight = (
-                        (w[0] if d1 else 1.0 - w[0])
-                        * (w[1] if d2 else 1.0 - w[1])
-                        * (w[2] if d3 else 1.0 - w[2])
-                    )
-                    v += weight * node
+        v = np.zeros(pts.shape[:-1])
+        for d in np.ndindex(2, 2, 2):
+            node = self.grid_values[tuple(i0[..., k] + d[k] for k in range(3))]
+            weight = (
+                (w[..., 0] if d[0] else 1.0 - w[..., 0])
+                * (w[..., 1] if d[1] else 1.0 - w[..., 1])
+                * (w[..., 2] if d[2] else 1.0 - w[..., 2])
+            )
+            v += weight * node
         return v
 
-    def evaluate(self, theta: AngleTriple) -> float:
-        require_q_plus(theta)
-        t1, t2, t3 = theta.theta1, theta.theta2, theta.theta3
+    def values(self, points) -> np.ndarray:
+        """Candidate values, elementwise over triples of shape (..., 3) in
+        the positive cube."""
+        pts = q_plus_points(points)
+        t1, t2, t3 = pts[..., 0], pts[..., 1], pts[..., 2]
         if self.kind == "locality":
-            return -math.cos(t2 + t3 - t1)
-        if self.kind == "product":
-            return -math.cos(t1) * math.cos(t2) * math.cos(t3)
+            return singlet_correlation(t2 + t3 - t1)
+        if self.kind == "grid":
+            return self._interpolate(pts)
+        product = singlet_correlation(t1) * np.cos(t2) * np.cos(t3)
         if self.kind == "product-diagonal":
-            if t1 == t2 == t3:
-                return -math.cos(t1)
-            return -math.cos(t1) * math.cos(t2) * math.cos(t3)
-        return self._interpolate(theta.as_array())
+            return np.where((t1 == t2) & (t2 == t3), singlet_correlation(t1), product)
+        return product
+
+    def evaluate(self, theta: AngleTriple) -> float:
+        return float(self.values(theta.as_array()))
 
 
 def builtins() -> dict[str, F4Candidate]:
     return {kind: F4Candidate.builtin(kind) for kind in BUILTIN_KINDS}
 
 
-def _ev(candidate, t1: float, t2: float, t3: float) -> float:
-    return candidate.evaluate(AngleTriple(t1, t2, t3))
+def _values(candidate, points: np.ndarray) -> np.ndarray:
+    """Values at (N, 3) points: one ``values`` call, else ``evaluate`` per row."""
+    if hasattr(candidate, "values"):
+        return candidate.values(points)
+    return np.array([candidate.evaluate(AngleTriple(*p)) for p in points], dtype=float)
 
 
 def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
@@ -159,16 +176,12 @@ def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
     h = float(h)
     if not (0.0 < h <= 0.1):
         raise DomainError(f"step must lie in (0, 0.1], got {h}")
-    f0 = _ev(candidate, 0.0, 0.0, 0.0)
-    grad = np.empty(3)
-    for i in range(3):
-        def diff(s: float) -> float:
-            point = [0.0, 0.0, 0.0]
-            point[i] = s
-            return (_ev(candidate, *point) - f0) / s
-
-        grad[i] = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-    return grad
+    steps = np.array([h / 2.0, h])
+    # row 0 is the origin, then steps[k] * e_i at row 1 + 2*i + k
+    points = np.vstack([np.zeros(3), (np.eye(3)[:, None, :] * steps[:, None]).reshape(6, 3)])
+    values = _values(candidate, points)
+    diffs = (values[1:].reshape(3, 2) - values[0]) / steps
+    return (4.0 * diffs[:, 0] - diffs[:, 1]) / 3.0
 
 
 def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float:
@@ -179,44 +192,51 @@ def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float
         raise DomainError(f"axis index must be 1, 2 or 3, got {i}")
     if not (h < t < math.pi - h):
         raise DomainError(f"t = {t} is too close to the boundary for step {h}")
-    lo = [0.0, 0.0, 0.0]
-    hi = [0.0, 0.0, 0.0]
-    lo[i - 1] = t - h
-    hi[i - 1] = t + h
-    deriv = (_ev(candidate, *hi) - _ev(candidate, *lo)) / (2.0 * h)
-    return abs(deriv - math.sin(t))
+    points = np.zeros((2, 3))
+    points[:, i - 1] = (t - h, t + h)
+    lo, hi = _values(candidate, points)
+    deriv = (hi - lo) / (2.0 * h)
+    return float(abs(deriv - math.sin(t)))
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, 3) array, bit for bit those of
+    ``np.linalg.norm`` on each row: a dot product, which ``axis=1`` is not."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])).reshape(-1)
+
+
+def _quotients(candidate, directions: np.ndarray, t: float) -> np.ndarray:
+    """(F(t*v) + 1) / t^2 for each row v of ``directions`` scaled to unit length."""
+    t = float(t)
+    if not (0.0 < t <= 0.5):
+        raise DomainError(f"step must lie in (0, 0.5], got {t}")
+    v = directions / _norms(directions)[:, None]
+    return (_values(candidate, t * v) + 1.0) / (t * t)
 
 
 def second_quotient(candidate, direction, t: float) -> float:
     """The quotient (F(t*v) + 1) / t^2 along a direction v in the positive
     cone."""
-    t = float(t)
-    if not (0.0 < t <= 0.5):
-        raise DomainError(f"step must lie in (0, 0.5], got {t}")
     v = np.asarray(direction, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"direction must be a 3-vector, got shape {v.shape}")
     if np.any(v < 0.0):
         raise DomainError(f"direction {v} leaves the positive cone")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    if float(np.linalg.norm(v)) == 0.0:
         raise DomainError("direction must be nonzero")
-    v = v / norm
-    return (_ev(candidate, *(t * v)) + 1.0) / (t * t)
+    return float(_quotients(candidate, v[None, :], t)[0])
 
 
 def _cone_directions(n: int, seed: int) -> np.ndarray:
     """n quasi-random unit directions in the positive cone (Halton)."""
     engine = qmc.Halton(d=3, scramble=True, seed=seed)
-    dirs = []
-    while len(dirs) < n:
-        for row in engine.random(2 * n):
-            norm = np.linalg.norm(row)
-            if norm > 1e-9:
-                dirs.append(row / norm)
-                if len(dirs) == n:
-                    break
-    return np.array(dirs)
+    dirs = np.empty((0, 3))
+    while dirs.shape[0] < n:
+        rows = engine.random(2 * n)
+        norms = _norms(rows)
+        keep = norms > 1e-9
+        dirs = np.vstack([dirs, rows[keep] / norms[keep, None]])
+    return dirs[:n]
 
 
 def direction_quotients(candidate, t: float, n_directions: int, seed: int = 0) -> np.ndarray:
@@ -225,10 +245,8 @@ def direction_quotients(candidate, t: float, n_directions: int, seed: int = 0) -
     n_directions = int(n_directions)
     if n_directions < 8:
         raise DomainError(f"need at least 8 directions, got {n_directions}")
-    dirs = _cone_directions(n_directions, seed)
-    quotients = [second_quotient(candidate, d, t) for d in dirs]
-    quotients.append(second_quotient(candidate, _DIAG_DIR, t))
-    return np.array(quotients)
+    dirs = np.vstack([_cone_directions(n_directions, seed), _DIAG_DIR])
+    return _quotients(candidate, dirs, t)
 
 
 def jump_measure(candidate, t: float, n_directions: int, seed: int = 0) -> float:
@@ -286,37 +304,28 @@ def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> Quad
     design = np.column_stack(
         [np.ones(samples), t1, t2, t3, t1 * t1, t1 * t2, t1 * t3, t2 * t2, t2 * t3, t3 * t3]
     )
-    values = np.array([_ev(candidate, *p) for p in pts])
+    values = _values(candidate, pts)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     pred = design @ coef
     residual = float(np.sqrt(np.mean((pred - values) ** 2)))
     # off-diagonal entries hold the i<j coefficients themselves
-    c_quad = np.array(
-        [
-            [coef[4], coef[5], coef[6]],
-            [coef[5], coef[7], coef[8]],
-            [coef[6], coef[8], coef[9]],
-        ]
-    )
+    c_quad = coef[[4, 5, 6, 5, 7, 8, 6, 8, 9]].reshape(3, 3)
     return QuadraticFit(c0=float(coef[0]), c_lin=coef[1:4].copy(), c_quad=c_quad, residual=residual)
 
 
 def _cross_probe(candidate, i: int, j: int, x: float = 1e-2, ks=(2, 5, 10, 50)) -> float:
     """Cross coefficient c_ij estimated along the (0, x, kx) probe
     schedule via mixed second differences, extrapolated linearly in k."""
-    f0 = _ev(candidate, 0.0, 0.0, 0.0)
-    estimates = []
-    for k in ks:
-        ti = [0.0, 0.0, 0.0]
-        tj = [0.0, 0.0, 0.0]
-        tij = [0.0, 0.0, 0.0]
-        ti[i] = x
-        tj[j] = k * x
-        tij[i], tij[j] = x, k * x
-        mixed = _ev(candidate, *tij) - _ev(candidate, *ti) - _ev(candidate, *tj) + f0
-        estimates.append(mixed / (k * x * x))
-    design = np.column_stack([np.ones(len(ks)), np.asarray(ks, dtype=float)])
-    coef, *_ = np.linalg.lstsq(design, np.array(estimates), rcond=None)
+    ks = np.asarray(ks, dtype=float)
+    # for each k the points x*e_i + k*x*e_j, x*e_i and k*x*e_j; then the origin
+    steps = np.zeros((3, ks.size, 3))
+    steps[[0, 1], :, i] = x
+    steps[[0, 2], :, j] = ks * x
+    values = _values(candidate, np.vstack([steps.reshape(-1, 3), np.zeros(3)]))
+    f_ij, f_i, f_j = values[:-1].reshape(3, ks.size)
+    estimates = (f_ij - f_i - f_j + values[-1]) / (ks * x * x)
+    design = np.column_stack([np.ones(ks.size), ks])
+    coef, *_ = np.linalg.lstsq(design, estimates, rcond=None)
     return float(coef[0])
 
 
@@ -373,12 +382,11 @@ class AnalysisReport:
 def _diagonal_coeff(candidate, t: float = 1e-2) -> float:
     """Total quadratic coefficient of the candidate along the diagonal,
     from (F(t,t,t) + cos t)/t^2 with Richardson extrapolation."""
-
-    def quotient(s: float) -> float:
-        return (_ev(candidate, s, s, s) + math.cos(s)) / (s * s)
-
-    extrapolated = (4.0 * quotient(t / 2.0) - quotient(t)) / 3.0
-    return extrapolated + 0.5
+    s = np.array([t / 2.0, t])
+    values = _values(candidate, np.repeat(s[:, None], 3, axis=1))
+    quotient = (values - singlet_correlation(s)) / (s * s)
+    extrapolated = (4.0 * quotient[0] - quotient[1]) / 3.0
+    return float(extrapolated + 0.5)
 
 
 def contradiction_report(
@@ -394,7 +402,7 @@ def contradiction_report(
     with vanishing cross terms, yet the diagonal demands a total of 1/2.
     """
     tol = tolerances
-    value_at_origin = _ev(candidate, 0.0, 0.0, 0.0)
+    value_at_origin = float(_values(candidate, np.zeros((1, 3)))[0])
     grad = gradient_at_origin(candidate)
     axis_residuals = np.array(
         [axis_derivative_check(candidate, math.pi / 4.0, i) for i in (1, 2, 3)]
@@ -464,25 +472,18 @@ class Violation:
 def inequality_scan(candidate, resolution: int, tol: float = 1e-9) -> list[Violation]:
     """Scan the uniform resolution^3 grid over the positive cube for band
     violations, and the diagonal nodes for departures from -cos(theta)."""
-    resolution = int(resolution)
-    if resolution < 2:
-        raise DomainError(f"resolution must be >= 2, got {resolution}")
-    axis = np.linspace(0.0, math.pi, resolution)
+    points = grid_points(resolution)
+    values = _values(candidate, points)
+    lo, hi = band_limits(points)
+    forced = singlet_correlation(points[:, 0])
+    band_bad = ~((lo - tol <= values) & (values <= hi + tol))
+    on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
+    diagonal_bad = on_diagonal & (np.abs(values - forced) > tol)
     violations = []
-    for t1 in axis:
-        for t2 in axis:
-            for t3 in axis:
-                theta = AngleTriple(t1, t2, t3)
-                value = candidate.evaluate(theta)
-                interval = feasible_band(theta)
-                if not interval.contains(value, tol=tol):
-                    violations.append(
-                        Violation((t1, t2, t3), "band", value, interval.lo, interval.hi)
-                    )
-                if t1 == t2 == t3:
-                    forced = -math.cos(t1)
-                    if abs(value - forced) > tol:
-                        violations.append(
-                            Violation((t1, t2, t3), "diagonal", value, forced, forced)
-                        )
+    for k in np.flatnonzero(band_bad | diagonal_bad):
+        theta, value = tuple(points[k].tolist()), float(values[k])
+        if band_bad[k]:
+            violations.append(Violation(theta, "band", value, float(lo[k]), float(hi[k])))
+        if diagonal_bad[k]:
+            violations.append(Violation(theta, "diagonal", value, float(forced[k]), float(forced[k])))
     return violations

@@ -123,6 +123,12 @@ class JointDistribution4:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
+    def __eq__(self, other):
+        return isinstance(other, JointDistribution4) and self.p.tobytes() == other.p.tobytes()
+
+    def __hash__(self):
+        return hash(self.p.tobytes())
+
     def moment(self, i: int, j: int) -> float:
         """Expected product of pattern components i and j."""
         signs = self.PATTERNS[:, i].astype(float) * self.PATTERNS[:, j]

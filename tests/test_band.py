@@ -128,6 +128,29 @@ class TestLpBand:
             assert abs(band.lo - r.min_value) <= 1e-7
             assert abs(band.hi - r.max_value) <= 1e-7
 
+    def test_collapsed_band_stays_inside_unit_interval(self):
+        # one correlation within 1e-9 of +1: bases infeasible by ~4e-10 once
+        # pushed the maximum to 1.0000000008538987
+        theta = AngleTriple(3.141551328082391, 0.0, 0.0)
+        band = feasible_band(theta)
+        r = lp_band(*(-math.cos(t) for t in (theta.theta1, theta.theta2, theta.theta3)))
+        assert r.max_value <= 1.0
+        assert (r.min_value, r.max_value) == (band.lo, band.hi)
+
+    def test_near_edge_sweep_matches_closed_form(self):
+        # components within 1e-12..1e-3 of 0 or pi, where correlations
+        # approach +-1 and the band narrows or collapses
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            t = rng.uniform(0, math.pi, 3)
+            for i in rng.choice(3, rng.integers(1, 4), replace=False):
+                offset = 10.0 ** rng.uniform(-12, -3)
+                t[i] = offset if rng.random() < 0.5 else math.pi - offset
+            band = feasible_band(AngleTriple(*t))
+            r = lp_band(*(-math.cos(x) for x in t))
+            assert abs(r.min_value - band.lo) <= 1e-10
+            assert abs(r.max_value - band.hi) <= 1e-10
+
 
 class TestFeasibleDistribution:
     def test_corner_moments(self):

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellband import __version__
 from bellband.cli import main
+from bellband.core import MAX_GRID_RESOLUTION
 
 
 def run(capsys, *args):
@@ -58,6 +60,17 @@ class TestLhv:
         )
         assert abs(result["empirical_correlation"]) < 0.02
         assert result["expected_correlation"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_gap_beyond_pi_wraps(self, tmp_path, capsys):
+        # |0 - 5| = 5 > pi; the circular gap 2*pi - 5 gives the sawtooth value
+        result = run_report(
+            capsys,
+            "lhv", "--theta-a", 0, "--theta-b", 5, "--n", 50000,
+            "--seed", 1, "--out", tmp_path / "lhv.csv",
+        )
+        expected = -1.0 + 2.0 * (2.0 * math.pi - 5.0) / math.pi
+        assert result["expected_correlation"] == pytest.approx(expected, abs=1e-12)
+        assert result["empirical_correlation"] == pytest.approx(expected, abs=0.02)
 
 
 class TestOctetAndBoole:
@@ -118,6 +131,23 @@ class TestBandCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta1,theta2,theta3,lo,hi,width"
         assert len(lines) == 28
+
+    @pytest.mark.parametrize(
+        "args", [["band-map", "--out", "map.csv"], ["scan", "--candidate", "product"]]
+    )
+    def test_resolution_cap(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(args + ["--resolution", str(MAX_GRID_RESOLUTION + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("bellband: error: ") and err.count("\n") == 1
+        assert peak < 10_000_000  # the grid itself would take 195 MB
+        assert not (tmp_path / "map.csv").exists()
 
     def test_lp_band(self, capsys):
         result = run_report(capsys, "lp-band", "--c1", 0, "--c2", 0, "--c3", 0)

@@ -93,6 +93,14 @@ class TestCandidates:
         theta = AngleTriple(1.0, 2.0, 0.5)
         assert clone.evaluate(theta) == grid.evaluate(theta)
 
+    def test_value_equality_and_hash(self):
+        grid = banded_grid(3, seed=1)
+        clone = F4Candidate.from_json(grid.to_json())
+        assert clone == grid and hash(clone) == hash(grid)
+        assert banded_grid(3, seed=2) != grid
+        assert F4Candidate.product() == F4Candidate.builtin("product")
+        assert len({F4Candidate.product(), F4Candidate.locality(), F4Candidate.product()}) == 2
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -1,0 +1,190 @@
+"""The array kernels against plain per-point references.
+
+Each reference below is the scalar, ``math.cos``-based formula evaluated
+one point at a time in a Python loop.  The kernels must agree with them
+bit for bit: the arithmetic is the same, only the loop moved into numpy.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from bellband import DomainError, F4Candidate, ShapeError, band_map, inequality_scan
+from bellband import f4
+from bellband.band import band_limits
+from bellband.core import MAX_GRID_RESOLUTION, grid_points, q_plus_points
+from bellband.f4 import Violation
+
+
+def ref_band(t1, t2, t3):
+    c1, c2, c3 = -math.cos(t1), -math.cos(t2), -math.cos(t3)
+    r1 = 2.0 - abs(c1 + c2)
+    r2 = 2.0 - abs(c1 - c2)
+    lo = max(c3 - r1, -c3 - r2, -1.0)
+    hi = min(c3 + r1, -c3 + r2, 1.0)
+    if lo > hi:
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
+def ref_axis(resolution):
+    return np.linspace(0.0, math.pi, resolution).tolist()
+
+
+def ref_band_map(resolution):
+    rows = []
+    axis = ref_axis(resolution)
+    for t1 in axis:
+        for t2 in axis:
+            for t3 in axis:
+                lo, hi = ref_band(t1, t2, t3)
+                rows.append((t1, t2, t3, lo, hi, hi - lo))
+    return np.array(rows)
+
+
+def ref_value(candidate, t1, t2, t3):
+    if candidate.kind == "locality":
+        return -math.cos(t2 + t3 - t1)
+    if candidate.kind == "product-diagonal" and t1 == t2 == t3:
+        return -math.cos(t1)
+    if candidate.kind in ("product", "product-diagonal"):
+        return -math.cos(t1) * math.cos(t2) * math.cos(t3)
+    # trilinear: the eight corners in d1, d2, d3 order
+    r = candidate.grid_resolution
+    x = [t / math.pi * (r - 1) for t in (t1, t2, t3)]
+    i0 = [min(max(math.floor(xk), 0), r - 2) for xk in x]
+    w = [xk - ik for xk, ik in zip(x, i0)]
+    v = 0.0
+    for d in itertools.product((0, 1), repeat=3):
+        weight = 1.0
+        for k in range(3):
+            weight *= w[k] if d[k] else 1.0 - w[k]
+        v += weight * candidate.grid_values[i0[0] + d[0], i0[1] + d[1], i0[2] + d[2]]
+    return v
+
+
+def ref_scan(candidate, resolution, tol=1e-9):
+    violations = []
+    axis = ref_axis(resolution)
+    for t1 in axis:
+        for t2 in axis:
+            for t3 in axis:
+                value = ref_value(candidate, t1, t2, t3)
+                lo, hi = ref_band(t1, t2, t3)
+                if not lo - tol <= value <= hi + tol:
+                    violations.append(Violation((t1, t2, t3), "band", value, lo, hi))
+                if t1 == t2 == t3:
+                    forced = -math.cos(t1)
+                    if abs(value - forced) > tol:
+                        violations.append(Violation((t1, t2, t3), "diagonal", value, forced, forced))
+    return violations
+
+
+def fuzzed_grid(resolution, seed):
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, resolution ** 3)
+    return F4Candidate.from_grid(resolution, values, name=f"fuzz-{seed}")
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+# components that hit the edges of the cube, where correlations are +-1 and
+# the band collapses to a point
+EDGES = (0.0, math.pi, 1e-300, 5e-324, math.pi / 2, 3.141551328082391, math.nextafter(math.pi, 0))
+cube_angle = st.one_of(st.sampled_from(EDGES), st.floats(0.0, math.pi, allow_nan=False))
+triples = st.tuples(cube_angle, cube_angle, cube_angle)
+
+CANDIDATES = [F4Candidate.builtin(kind) for kind in f4.BUILTIN_KINDS] + [fuzzed_grid(6, 3)]
+
+
+def sample_points():
+    rng = np.random.default_rng(21)
+    points = rng.uniform(0.0, math.pi, (500, 3))
+    points[:50, 1:] = points[:50, :1]  # exact diagonal
+    points[50:100] = rng.choice(EDGES, (50, 3))
+    return np.vstack([points, grid_points(7)])
+
+
+class TestBandKernel:
+    def test_band_map_rows_match_reference(self):
+        assert bits(band_map(25)) == bits(ref_band_map(25))
+
+    @given(st.lists(triples, min_size=1, max_size=20))
+    def test_band_limits_match_reference(self, points):
+        lo, hi = band_limits(points)
+        ref = [ref_band(*t) for t in points]
+        assert bits(lo) == bits([r[0] for r in ref])
+        assert bits(hi) == bits([r[1] for r in ref])
+
+    def test_band_limits_keep_leading_shape(self):
+        points = grid_points(4).reshape(4, 16, 3)
+        lo, hi = band_limits(points)
+        assert lo.shape == hi.shape == (4, 16)
+        assert bits(lo.ravel()) == bits(band_limits(grid_points(4))[0])
+
+
+class TestCandidateKernel:
+    @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
+    def test_values_match_reference(self, candidate):
+        points = sample_points()
+        ref = [ref_value(candidate, *p) for p in points.tolist()]
+        assert bits(candidate.values(points)) == bits(ref)
+
+    @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
+    def test_scan_matches_reference(self, candidate):
+        assert inequality_scan(candidate, 15) == ref_scan(candidate, 15)
+
+    @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
+    def test_batched_probes_match_pointwise_evaluation(self, candidate):
+        class EvaluateOnly:
+            name = candidate.name
+
+            def evaluate(self, theta):
+                return candidate.evaluate(theta)
+
+        batched = f4.contradiction_report(candidate, seed=3).to_dict()
+        pointwise = f4.contradiction_report(EvaluateOnly(), seed=3).to_dict()
+        batched.pop("disclaimer")
+        pointwise.pop("disclaimer")
+        assert batched == pointwise
+
+    def test_row_norms_match_linalg_norm(self):
+        rows = np.random.default_rng(8).random((2000, 3))
+        ref = [np.linalg.norm(row) for row in rows]
+        assert bits(f4._norms(rows)) == bits(ref)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "points",
+        [[math.nan, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.0, math.pi + 1e-12, 0.0],
+         [[0.0, 0.0, math.inf]]],
+    )
+    def test_rejects_points_outside_the_cube(self, points):
+        with pytest.raises(DomainError):
+            q_plus_points(points)
+
+    @pytest.mark.parametrize("points", [0.5, [0.0, 0.0], np.zeros((4, 2)), np.zeros((3, 0))])
+    def test_rejects_wrong_shapes(self, points):
+        with pytest.raises(ShapeError):
+            q_plus_points(points)
+
+    def test_kernels_validate(self):
+        with pytest.raises(DomainError):
+            band_limits([[0.0, -1.0, 0.0]])
+        with pytest.raises(ShapeError):
+            F4Candidate.product().values(np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("resolution", [1, MAX_GRID_RESOLUTION + 1])
+    def test_grid_resolution_bounds(self, resolution):
+        with pytest.raises(DomainError):
+            grid_points(resolution)
+
+    def test_grid_points_are_theta1_major(self):
+        points = grid_points(3)
+        axis = np.linspace(0.0, math.pi, 3)
+        assert bits(points) == bits(list(itertools.product(axis, repeat=3)))

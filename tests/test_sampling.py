@@ -113,6 +113,12 @@ class TestJointDistribution4:
             for j in range(i + 1, 4):
                 assert d.moment(i, j) == 0.0
 
+    def test_value_equality_and_hash(self):
+        d = JointDistribution4.uniform()
+        assert d == JointDistribution4(np.full(16, 1.0 / 16.0))
+        assert hash(d) == hash(JointDistribution4.uniform())
+        assert d != JointDistribution4.point_mass((1, 1, 1, 1))
+
 
 class TestOctetSampler:
     def test_point_mass(self):
