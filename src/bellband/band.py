@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
+from .core import BAND_TOL, ROUND_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
 from .errors import DomainError, InfeasibleError
 from .sampling import JointDistribution4
-
-#: basis matrices with |det| below this are treated as rank deficient
-PIVOT_TOL = 1e-10
-
-_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ def band_limits(points) -> tuple[np.ndarray, np.ndarray]:
     # nonempty by r1 + r2 = 4 - 2*max(|c1|,|c2|) >= 2 >= 2|c3|;
     # collapse pure rounding gaps
     gap = lo - hi
-    if np.any(gap > 1e-12):
+    if np.any(gap > ROUND_TOL):
         raise DomainError("band unexpectedly empty")
     collapsed = gap > 0.0
     mid = 0.5 * (lo + hi)
@@ -95,7 +90,9 @@ _EQ = np.vstack([np.ones(16), _M1, _M2, _M3])
 
 _BASES = np.array(list(itertools.combinations(range(16), 4)))
 _MATS = np.ascontiguousarray(_EQ[:, _BASES].transpose(1, 0, 2))
-_NONSING = np.abs(np.linalg.det(_MATS)) > PIVOT_TOL
+# entries are +-1, so each determinant is an exact integer (0, +-8 or +-16)
+# up to rounding far below 1/2
+_NONSING = np.rint(np.linalg.det(_MATS)) != 0
 _BASES_NS = _BASES[_NONSING]
 _INV = np.linalg.inv(_MATS[_NONSING])
 _OBJ_NS = _OBJ[_BASES_NS]
@@ -125,7 +122,9 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
     E[a_oo b_ob] = c3.
 
     Exact at this size: every basic feasible solution of the 4x16 system
-    is enumerated.
+    is enumerated.  Rounding in the basic solutions can push an extreme
+    past +-1 by about 1e-12 near the edges of the cube, so the reported
+    extremes are clipped to [-1, 1].
     """
     for name, v in (("c1", c1), ("c2", c2), ("c3", c3)):
         if not math.isfinite(float(v)) or abs(v) > 1.0:
@@ -134,7 +133,7 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
     sols = _INV @ b
     # basic solutions are probabilities: a basis is feasible only to
     # probability rounding, or extremes escape [-1, 1] at collapsed bands
-    feasible = np.all(sols >= -PROB_TOL, axis=1)
+    feasible = np.all(sols >= -ROUND_TOL, axis=1)
     if not feasible.any():
         raise InfeasibleError(f"no distribution matches moments ({c1}, {c2}, {c3})")
     objs = np.sum(sols * _OBJ_NS, axis=1)
@@ -142,7 +141,7 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
 
     def pick(extreme: float) -> tuple[np.ndarray, np.ndarray]:
         # among bases attaining the extreme, prefer the least degenerate one
-        near = feasible & (np.abs(objs - extreme) <= 1e-12)
+        near = feasible & (np.abs(objs - extreme) <= ROUND_TOL)
         idx = np.flatnonzero(near)
         best = idx[np.argmax(np.min(sols[idx], axis=1))]
         return _BASES_NS[best], sols[best]
@@ -150,8 +149,8 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
     min_value = float(np.nanmin(objs_feas))
     max_value = float(np.nanmax(objs_feas))
     return LpResult(
-        min_value=min_value,
-        max_value=max_value,
+        min_value=max(min_value, -1.0),
+        max_value=min(max_value, 1.0),
         witness_min=_witness(*pick(min_value)),
         witness_max=_witness(*pick(max_value)),
     )
@@ -162,13 +161,13 @@ def feasible_distribution(c1: float, c2: float, c3: float, f: float) -> JointDis
     moments (c1, c2, c3, f), built as a convex combination of the two LP
     witnesses."""
     result = lp_band(c1, c2, c3)
-    if not (result.min_value - _FEAS_TOL <= f <= result.max_value + _FEAS_TOL):
+    if not (result.min_value - BAND_TOL <= f <= result.max_value + BAND_TOL):
         raise InfeasibleError(
             f"fourth moment {f} lies outside the feasible band "
             f"[{result.min_value}, {result.max_value}]"
         )
     span = result.max_value - result.min_value
-    if span <= _FEAS_TOL:
+    if span <= BAND_TOL:
         return result.witness_min
     lam = (result.max_value - f) / span
     lam = min(max(lam, 0.0), 1.0)

@@ -7,17 +7,20 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import AngleTriple, empirical_correlation, q_plus_points, singlet_correlation
+from .core import ROUND_TOL, AngleTriple, empirical_correlation, q_plus_points, singlet_correlation
 from .errors import DomainError
-
-#: slack on all inequality checks; anything within it counts as satisfied
-INEQ_TOL = 1e-12
 
 
 class BooleResult(NamedTuple):
     lhs1: float
     lhs2: float
     holds: bool
+
+
+def _sides(c1: float, c2: float, c3: float, c4: float) -> tuple[float, float]:
+    """The two CHSH left-hand sides |c1 + c2| + |c3 - c4| and
+    |c1 - c2| + |c3 + c4|; both are <= 2 inside the classical polytope."""
+    return abs(c1 + c2) + abs(c3 - c4), abs(c1 - c2) + abs(c3 + c4)
 
 
 def boole_check(u, x, v, y) -> BooleResult:
@@ -30,10 +33,8 @@ def boole_check(u, x, v, y) -> BooleResult:
     vx = empirical_correlation(v, x)
     uy = empirical_correlation(u, y)
     vy = empirical_correlation(v, y)
-    lhs1 = abs(ux + vx) + abs(uy - vy)
-    lhs2 = abs(ux - vx) + abs(uy + vy)
-    holds = lhs1 <= 2.0 + INEQ_TOL and lhs2 <= 2.0 + INEQ_TOL
-    return BooleResult(lhs1, lhs2, holds)
+    lhs1, lhs2 = _sides(ux, vx, uy, vy)
+    return BooleResult(lhs1, lhs2, max(lhs1, lhs2) <= 2.0 + ROUND_TOL)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class CorrelationVector:
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4"):
             v = float(getattr(self, name))
-            if not math.isfinite(v) or abs(v) > 1.0 + INEQ_TOL:
+            if not math.isfinite(v) or abs(v) > 1.0 + ROUND_TOL:
                 raise DomainError(f"{name} = {v} is not a correlation in [-1, 1]")
             object.__setattr__(self, name, v)
 
@@ -57,14 +58,12 @@ class CorrelationVector:
 def chsh_value(c: CorrelationVector) -> float:
     """Larger of the two CHSH left-hand sides; values above 2 leave the
     classical polytope."""
-    lhs1 = abs(c.c1 + c.c2) + abs(c.c3 - c.c4)
-    lhs2 = abs(c.c1 - c.c2) + abs(c.c3 + c.c4)
-    return max(lhs1, lhs2)
+    return max(_sides(c.c1, c.c2, c.c3, c.c4))
 
 
 def polytope_member(c: CorrelationVector) -> bool:
     """True iff the vector satisfies both CHSH inequalities."""
-    return chsh_value(c) <= 2.0 + INEQ_TOL
+    return chsh_value(c) <= 2.0 + ROUND_TOL
 
 
 def correlations_from_angles(theta: AngleTriple, candidate) -> CorrelationVector:

@@ -95,11 +95,16 @@ def _write_sequence_csv(path: str, columns: dict) -> None:
 
 
 def _read_sequence_csv(path: str) -> dict:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader)
-        rows = [[int(cell) for cell in row] for row in reader if row]
-    data = np.array(rows, dtype=np.int8)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            names = next(reader)
+            rows = [[int(cell) for cell in row] for row in reader if row]
+        data = np.array(rows, dtype=np.int8).reshape(len(rows), len(names))
+    except StopIteration:
+        raise BellbandError(f"{path} is empty") from None
+    except (csv.Error, ValueError, OverflowError) as exc:
+        raise BellbandError(f"{path} is not a table of +1/-1 cells: {exc}") from exc
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
@@ -286,16 +291,8 @@ def _cmd_scan(args) -> dict:
     return {
         "resolution": args.resolution,
         "violation_count": len(violations),
-        "violations": [
-            {
-                "theta": list(v.theta),
-                "kind": v.kind,
-                "value": v.value,
-                "lo": v.lo,
-                "hi": v.hi,
-            }
-            for v in violations
-        ],
+        # a Violation's fields in order; dataclasses.asdict costs 10 us a row
+        "violations": [vars(v) for v in violations],
     }
 
 

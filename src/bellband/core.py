@@ -17,9 +17,16 @@ from .errors import DomainError, ShapeError
 
 TWO_PI = 2.0 * math.pi
 
-#: absolute tolerance for probability bookkeeping (closed forms are exact
-#: up to rounding)
-PROB_TOL = 1e-12
+# The package's only rounding tolerances; a test keeps every other module
+# from spelling one.
+
+#: rounding slack on order-one float64 quantities; tests/test_exact.py finds
+#: the closed-form band within 2.1e-16 of an exact rational LP solve
+ROUND_TOL = 1e-12
+
+#: slack for a fourth-correlation value checked against a band;
+#: tests/test_exact.py finds the float LP extremes within 3.9e-12 of exact
+BAND_TOL = 1e-9
 
 
 def wrap_angle(x: float) -> float:
@@ -156,11 +163,11 @@ class JointDistribution2:
 
     def __post_init__(self):
         p = self.as_array()
-        if np.any(p < -PROB_TOL):
+        if np.any(p < -ROUND_TOL):
             raise DomainError(f"negative probability in {p}")
-        if abs(p.sum() - 1.0) > PROB_TOL:
+        if abs(p.sum() - 1.0) > ROUND_TOL:
             raise DomainError(f"probabilities sum to {p.sum()}, not 1")
-        if abs(self.p_pp + self.p_pm - 0.5) > PROB_TOL or abs(self.p_pp + self.p_mp - 0.5) > PROB_TOL:
+        if abs(self.p_pp + self.p_pm - 0.5) > ROUND_TOL or abs(self.p_pp + self.p_mp - 0.5) > ROUND_TOL:
             raise DomainError("marginals are not uniform")
 
     def as_array(self) -> np.ndarray:

@@ -7,6 +7,7 @@ directional-jump and inequality scans.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from scipy.stats import qmc
 
 # feasible_band stays importable from this module for existing callers
 from .band import band_limits, feasible_band  # noqa: F401
-from .core import AngleTriple, grid_points, q_plus_points, singlet_correlation
+from .core import BAND_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
 from .errors import DomainError, GridFormatError
 
 _DIAG_DIR = np.full(3, 1.0 / math.sqrt(3.0))
@@ -50,10 +51,13 @@ class F4Candidate:
         if self.kind != "grid":
             raise GridFormatError(f"unknown candidate kind {self.kind!r}")
         r = self.grid_resolution
-        if r is None or int(r) < 2:
+        try:
+            r = int(r)
+            values = np.asarray(self.grid_values, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GridFormatError(f"grid resolution and values must be numbers: {exc}") from exc
+        if r < 2:
             raise GridFormatError(f"grid resolution must be >= 2, got {r}")
-        r = int(r)
-        values = np.asarray(self.grid_values, dtype=float)
         if values.size != r ** 3:
             raise GridFormatError(
                 f"grid needs {r ** 3} values for resolution {r}, got {values.size}"
@@ -234,7 +238,7 @@ def _cone_directions(n: int, seed: int) -> np.ndarray:
     while dirs.shape[0] < n:
         rows = engine.random(2 * n)
         norms = _norms(rows)
-        keep = norms > 1e-9
+        keep = norms > 0.0
         dirs = np.vstack([dirs, rows[keep] / norms[keep, None]])
     return dirs[:n]
 
@@ -357,26 +361,19 @@ class AnalysisReport:
     disclaimer: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate,
-            "value_at_origin": self.value_at_origin,
-            "gradient_at_origin": list(self.gradient_at_origin),
-            "axis_residuals": list(self.axis_residuals),
-            "second_quotient_bound": self.second_quotient_bound,
-            "fit": {
-                "c0": self.fit.c0,
-                "c_lin": list(self.fit.c_lin),
-                "c_quad": [list(row) for row in self.fit.c_quad],
-                "residual": self.fit.residual,
-            },
-            "diagonal_sum": self.diagonal_sum,
-            "axis_forced_sum": self.axis_forced_sum,
-            "cross_term_max": self.cross_term_max,
-            "contradiction": self.contradiction,
-            "jump_spread": self.jump_spread,
-            "flags": list(self.flags),
-            "disclaimer": self.disclaimer,
-        }
+        return dataclasses.asdict(self, dict_factory=_plain_dict)
+
+
+def _plain_dict(items) -> dict:
+    """``dataclasses.asdict`` factory that turns arrays and tuples into lists."""
+    out = {}
+    for key, value in items:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[key] = value
+    return out
 
 
 def _diagonal_coeff(candidate, t: float = 1e-2) -> float:
@@ -469,7 +466,7 @@ class Violation:
     hi: float
 
 
-def inequality_scan(candidate, resolution: int, tol: float = 1e-9) -> list[Violation]:
+def inequality_scan(candidate, resolution: int, tol: float = BAND_TOL) -> list[Violation]:
     """Scan the uniform resolution^3 grid over the positive cube for band
     violations, and the diagonal nodes for departures from -cos(theta)."""
     points = grid_points(resolution)

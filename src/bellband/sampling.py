@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_TOL, singlet_joint
+from .core import ROUND_TOL, singlet_joint
 from .errors import DomainError, ShapeError
 
 #: draws per sub-seeded chunk
@@ -115,9 +115,9 @@ class JointDistribution4:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (16,):
             raise ShapeError(f"expected 16 probabilities, got shape {p.shape}")
-        if np.any(p < -PROB_TOL):
+        if np.any(p < -ROUND_TOL):
             raise DomainError("negative probability entry")
-        if abs(p.sum() - 1.0) > PROB_TOL:
+        if abs(p.sum() - 1.0) > ROUND_TOL:
             raise DomainError(f"probabilities sum to {p.sum()}, not 1")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False

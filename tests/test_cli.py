@@ -98,6 +98,25 @@ class TestOctetAndBoole:
         code, _ = run(capsys, "boole", "--in", tmp_path / "nope.csv")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,x,+1\n",
+            "",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n+1,-1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,300,+1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1\n",
+        ],
+        ids=["non-integer", "empty", "ragged", "overflow", "short-rows"],
+    )
+    def test_boole_malformed_csv(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main(["boole", "--in", str(bad)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("bellband: error: ") and err.count("\n") == 1
+
 
 class TestChsh:
     def test_tsirelson_violation(self, capsys):

@@ -109,6 +109,9 @@ class TestCandidates:
             '{"kind": "grid", "resolution": 1, "values": [0]}',
             '{"kind": "grid", "resolution": 2, "values": [0, 0]}',
             '{"kind": "grid", "resolution": 2, "values": [0,0,0,0,0,0,0,2]}',
+            '{"kind": "grid", "resolution": 2, "values": ["a",0,0,0,0,0,0,0]}',
+            '{"kind": "grid", "resolution": "two", "values": [0,0,0,0,0,0,0,0]}',
+            '{"kind": "grid", "resolution": 1e400, "values": [0]}',
         ],
     )
     def test_malformed_grid_documents(self, doc):
