@@ -2,14 +2,14 @@
 
 All angle flags are radians unless ``--degrees`` is given.  Structured
 reports are JSON with floats printed to 17 significant digits; sequence
-files are plain CSV with cells exactly ``+1`` or ``-1``.  Exit codes:
+files are CSV with cells exactly ``+1`` or ``-1`` in fixed-width rows
+(README.md gives the grammar).  Exit codes:
 0 success, 1 operational failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -86,26 +86,68 @@ def _candidate(args) -> F4Candidate:
     return F4Candidate.builtin(args.candidate)
 
 
+# A sequence file is a header line of column names joined by "," and then
+# rows of k cells, each exactly "+1" or "-1", joined by "," and ended by
+# "\n".  Every data row is k cells of exactly 3 bytes, so both directions
+# are array operations on an (n, k, 3) uint8 view of the rows.
+_COMMA = ord(",")
+
+
+def _row_template(k: int) -> np.ndarray:
+    """The k cells of a row of "+1" cells, as a (k, 3) byte array."""
+    cells = np.frombuffer(b"+1," * k, dtype=np.uint8).reshape(k, 3).copy()
+    cells[-1, 2] = ord("\n")
+    return cells
+
+
 def _write_sequence_csv(path: str, columns: dict) -> None:
+    """Write equal-length +/-1 columns as a sequence file."""
     names = list(columns)
-    data = np.column_stack([columns[n] for n in names])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        np.savetxt(fh, data, fmt="%+d", delimiter=",")
+    rows = np.tile(_row_template(len(names)), (len(columns[names[0]]), 1, 1))
+    for j, name in enumerate(names):
+        # "," - (+1) is "+" and "," - (-1) is "-"
+        np.subtract(_COMMA, columns[name], out=rows[:, j, 0], casting="unsafe")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        fh.write(rows)
 
 
 def _read_sequence_csv(path: str) -> dict:
+    """Read a sequence file into int8 columns keyed by name; anything but
+    the exact format raises BellbandError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise BellbandError(f"{path} is empty")
+    header, _, body = data.partition(b"\n")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            names = next(reader)
-            rows = [[int(cell) for cell in row] for row in reader if row]
-        data = np.array(rows, dtype=np.int8).reshape(len(rows), len(names))
-    except StopIteration:
-        raise BellbandError(f"{path} is empty") from None
-    except (csv.Error, ValueError, OverflowError) as exc:
-        raise BellbandError(f"{path} is not a table of +1/-1 cells: {exc}") from exc
-    return {name: data[:, k] for k, name in enumerate(names)}
+        names = header.decode("utf-8").split(",")
+    except UnicodeDecodeError as exc:
+        raise BellbandError(f"{path} has a header that is not UTF-8: {exc}") from None
+    if "" in names or len(set(names)) != len(names):
+        raise BellbandError(f"{path} needs distinct, non-empty column names, got {names}")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    k = len(names)
+    if len(body) % (3 * k):
+        raise BellbandError(
+            f"{path} is not a table of +1/-1 cells: its {len(body)} bytes of rows "
+            f"are not a whole number of {k}-cell rows of 3 bytes a cell"
+        )
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, k, 3)
+    # "," - "+" is +1 and "," - "-" is -1; one contiguous row per column
+    values = np.subtract(_COMMA, rows[:, :, 0].T.view(np.int8), order="C")
+    # every sign byte is "+" or "-", and without them the rows read "1,...,1\n"
+    rest = (b"1," * (k - 1) + b"1\n") * len(rows)
+    if not (np.all(np.abs(values) == 1) and body.translate(None, b"+-") == rest):
+        bad = rows != _row_template(k)
+        bad[:, :, 0] &= rows[:, :, 0] != ord("-")
+        row, cell = np.argwhere(bad)[0, :2]
+        raise BellbandError(
+            f"{path} is not a table of +1/-1 cells: cell {rows[row, cell].tobytes()!r} "
+            f"on line {row + 2}, column {names[cell]!r}"
+        )
+    return dict(zip(names, values))
 
 
 def _add_seed_out(parser, out_required=True):

@@ -197,9 +197,9 @@ def as_outcomes(values) -> np.ndarray:
         raise DomainError("outcome sequence must be non-empty")
     if not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"outcomes must be numeric, got dtype {arr.dtype}")
-    if not np.all(np.isin(arr, (-1, 1))):
+    if not np.all((arr == 1) | (arr == -1)):
         raise DomainError("outcomes must all be +1 or -1")
-    return arr.astype(np.int8)
+    return arr.astype(np.int8, copy=False)
 
 
 def empirical_correlation(u, v) -> float:
@@ -208,5 +208,6 @@ def empirical_correlation(u, v) -> float:
     v = as_outcomes(v)
     if u.size != v.size:
         raise ShapeError(f"length mismatch: {u.size} vs {v.size}")
-    s = int(np.sum(u.astype(np.int64) * v.astype(np.int64)))
+    # sum u_i v_i: +1 where the outcomes agree, -1 where they differ
+    s = u.size - 2 * int(np.count_nonzero(u != v))
     return s / u.size

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 # feasible_band stays importable from this module for existing callers
 from .band import band_limits, feasible_band  # noqa: F401
@@ -50,12 +49,13 @@ class F4Candidate:
             return
         if self.kind != "grid":
             raise GridFormatError(f"unknown candidate kind {self.kind!r}")
-        r = self.grid_resolution
         try:
-            r = int(r)
+            r = int(self.grid_resolution)
             values = np.asarray(self.grid_values, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise GridFormatError(f"grid resolution and values must be numbers: {exc}") from exc
+        if r != self.grid_resolution:
+            raise GridFormatError(f"grid resolution must be an integer, got {self.grid_resolution!r}")
         if r < 2:
             raise GridFormatError(f"grid resolution must be >= 2, got {r}")
         if values.size != r ** 3:
@@ -231,9 +231,17 @@ def second_quotient(candidate, direction, t: float) -> float:
     return float(_quotients(candidate, v[None, :], t)[0])
 
 
+def _halton(seed: int):
+    """A scrambled 3-d Halton engine."""
+    # imported here: scipy.stats is most of the package's import time
+    from scipy.stats import qmc
+
+    return qmc.Halton(d=3, scramble=True, seed=seed)
+
+
 def _cone_directions(n: int, seed: int) -> np.ndarray:
     """n quasi-random unit directions in the positive cone (Halton)."""
-    engine = qmc.Halton(d=3, scramble=True, seed=seed)
+    engine = _halton(seed)
     dirs = np.empty((0, 3))
     while dirs.shape[0] < n:
         rows = engine.random(2 * n)
@@ -284,7 +292,7 @@ class QuadraticFit:
 
 
 def _ball_points(radius: float, count: int, seed: int) -> np.ndarray:
-    engine = qmc.Halton(d=3, scramble=True, seed=seed)
+    engine = _halton(seed)
     points = np.empty((0, 3))
     while points.shape[0] < count:
         batch = engine.random(4 * count) * radius

@@ -1,13 +1,22 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import bellband
 from bellband import __version__
-from bellband.cli import main
+from bellband.cli import _read_sequence_csv, _write_sequence_csv, main
 from bellband.core import MAX_GRID_RESOLUTION
+from bellband.errors import BellbandError
 
 
 def run(capsys, *args):
@@ -106,8 +115,23 @@ class TestOctetAndBoole:
             "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n+1,-1\n",
             "a_oo,b_oo,a_bo,b_ob\n+1,-1,300,+1\n",
             "a_oo,b_oo,a_bo,b_ob\n+1,-1\n",
+            "a_oo,b_oo,a_bo,b_ob,b_ob\n+1,-1,+1,+1,-1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,1,+1\n",
+            "a_oo,b_oo,a_bo,b_ob\r\n+1,-1,+1,+1\r\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n\n+1,-1,+1,+1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1, +1,+1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n+1,-1,+1,-+\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+2\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1;+1,+1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,1-,+1,+1\n",
+            "a_oo,b_oo,a_bo,b_ob\n+1,-1\n+1,+1,+1,-1,+1,+1\n",
+            "a\r\n+1\r\n-1\r\n+1\r\n",
         ],
-        ids=["non-integer", "empty", "ragged", "overflow", "short-rows"],
+        ids=[
+            "non-integer", "empty", "ragged", "overflow", "short-rows", "duplicate-name",
+            "unsigned", "crlf", "blank-line", "space", "bad-sign-byte", "digit",
+            "separator", "swapped", "row-break", "crlf-aligned",
+        ],
     )
     def test_boole_malformed_csv(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.csv"
@@ -116,6 +140,59 @@ class TestOctetAndBoole:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("bellband: error: ") and err.count("\n") == 1
+        # the reader itself rejects each case, not a later check on the columns
+        with pytest.raises(BellbandError):
+            _read_sequence_csv(str(bad))
+
+    def test_boole_without_final_newline(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_bytes(b"a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n-1,-1,+1,-1")
+        result = run_report(capsys, "boole", "--in", good)
+        assert result["lhs1"] == 2.0 and result["holds"] is True
+
+
+def _savetxt_reference(columns: dict) -> bytes:
+    """The sequence-file bytes the np.savetxt writer produced."""
+    buf = io.BytesIO()
+    buf.write((",".join(columns) + "\n").encode("utf-8"))
+    np.savetxt(buf, np.column_stack(list(columns.values())), fmt="%+d", delimiter=",")
+    return buf.getvalue()
+
+
+class TestSequenceCodec:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: arrays(np.int8, st.tuples(st.integers(1, 300), st.just(k)),
+                             elements=st.sampled_from([-1, 1]))
+        )
+    )
+    def test_matches_savetxt_and_round_trips(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("codec") / "seq.csv"
+        columns = {f"c{j}": data[:, j] for j in range(data.shape[1])}
+        _write_sequence_csv(str(path), columns)
+        assert path.read_bytes() == _savetxt_reference(columns)
+        decoded = _read_sequence_csv(str(path))
+        assert list(decoded) == list(columns)
+        for name, column in columns.items():
+            assert decoded[name].dtype == np.int8
+            np.testing.assert_array_equal(decoded[name], column)
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_bytes(b"a,b\n")
+        decoded = _read_sequence_csv(str(path))
+        assert list(decoded) == ["a", "b"] and all(c.size == 0 for c in decoded.values())
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is most of the import time, and only the f4 probes use it
+    code = "import sys, bellband.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 class TestChsh:

@@ -154,6 +154,17 @@ class TestEmpiricalCorrelation:
         with pytest.raises(DomainError):
             empirical_correlation([1, 2], [1, 1])
 
+    def test_non_finite_values(self):
+        with pytest.raises(DomainError):
+            empirical_correlation([1.0, math.nan], [1, 1])
+
+    @given(st.lists(st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])), min_size=1))
+    def test_matches_direct_sum(self, pairs):
+        u, v = (list(t) for t in zip(*pairs))
+        expected = sum(a * b for a, b in pairs) / len(pairs)
+        assert empirical_correlation(u, v) == expected
+        assert empirical_correlation(np.array(u, dtype=float), np.array(v, dtype=np.int64)) == expected
+
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=50), st.data())
     def test_symmetry_and_sign_flip(self, u, data):
         v = data.draw(

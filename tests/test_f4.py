@@ -112,6 +112,7 @@ class TestCandidates:
             '{"kind": "grid", "resolution": 2, "values": ["a",0,0,0,0,0,0,0]}',
             '{"kind": "grid", "resolution": "two", "values": [0,0,0,0,0,0,0,0]}',
             '{"kind": "grid", "resolution": 1e400, "values": [0]}',
+            '{"kind": "grid", "resolution": 2.9, "values": [0,0,0,0,0,0,0,0]}',
         ],
     )
     def test_malformed_grid_documents(self, doc):
