@@ -75,8 +75,18 @@ def band_map(resolution: int) -> np.ndarray:
     cube, as rows (theta1, theta2, theta3, lo, hi, width) in theta1-major
     order."""
     points = grid_points(resolution)
-    lo, hi = band_limits(points)
-    return np.column_stack([points, lo, hi, hi - lo])
+    rows = np.empty((len(points), 6))
+    rows[:, :3] = points
+    del points
+    # one theta1 slab at a time, so the kernel's temporaries stay slab-sized
+    slab = len(rows) // int(resolution)
+    for start in range(0, len(rows), slab):
+        part = rows[start:start + slab]
+        lo, hi = band_limits(part[:, :3])
+        part[:, 3] = lo
+        part[:, 4] = hi
+        np.subtract(hi, lo, out=part[:, 5])
+    return rows
 
 
 # --- LP oracle over distributions on {+-1}^4 -------------------------------

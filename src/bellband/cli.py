@@ -150,6 +150,33 @@ def _read_sequence_csv(path: str) -> dict:
     return dict(zip(names, values))
 
 
+# A float table is written as "%.17g" cells joined by "," with "\n" after
+# each row: the bytes of np.savetxt(fmt="%.17g", delimiter=",").  A grid
+# table repeats few distinct floats, so each block of rows formats every
+# distinct bit pattern once (bit patterns keep -0.0, 0.0 and NaN payloads
+# apart), gathers the cells from a NUL-padded table of their bytes and drops
+# the NULs.  A block takes about 100 bytes a cell while it is written, so
+# 2^11 rows of 6 cells take about 1 MB whatever the size of the table.
+_TABLE_BLOCK = 1 << 11
+
+
+def _write_table_csv(fh, rows) -> None:
+    """Write the rows of a 2-D float array to a binary file as CSV."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    for start in range(0, len(rows), _TABLE_BLOCK):
+        block = rows[start:start + _TABLE_BLOCK]
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        texts = [format(v, ".17g") + "," for v in bits.view(np.float64).tolist()]
+        cells = np.array(texts, dtype=np.bytes_)
+        table = cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+        index = inverse.reshape(block.shape)
+        out = table[index]
+        # the "," of each row's last cell becomes "\n"
+        commas = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) - 1
+        out[np.arange(len(block)), -1, commas[index[:, -1]]] = ord("\n")
+        fh.write(out[out != 0])
+
+
 def _add_seed_out(parser, out_required=True):
     parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
     parser.add_argument("--out", required=out_required, help="output CSV path")
@@ -307,9 +334,9 @@ def _cmd_band(args) -> dict:
 
 def _cmd_band_map(args) -> dict:
     rows = band_map(args.resolution)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("theta1,theta2,theta3,lo,hi,width\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+    with open(args.out, "wb") as fh:
+        fh.write(b"theta1,theta2,theta3,lo,hi,width\n")
+        _write_table_csv(fh, rows)
     return {"out": args.out, "rows": int(rows.shape[0])}
 
 
@@ -360,8 +387,9 @@ def main(argv=None) -> int:
     }
     try:
         result = _COMMANDS[args.command](args)
-    except (BellbandError, OSError) as exc:
-        print(f"bellband: error: {exc}", file=sys.stderr)
+    except (BellbandError, OSError, MemoryError) as exc:
+        # numpy names the failed allocation; a bare MemoryError says nothing
+        print(f"bellband: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     print(_report(args.command, config, result))
     return 0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bellband
-from bellband import __version__
-from bellband.cli import _read_sequence_csv, _write_sequence_csv, main
+from bellband import __version__, band_map, cli
+from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
 from bellband.core import MAX_GRID_RESOLUTION
 from bellband.errors import BellbandError
 
@@ -182,6 +183,76 @@ class TestSequenceCodec:
         path.write_bytes(b"a,b\n")
         decoded = _read_sequence_csv(str(path))
         assert list(decoded) == ["a", "b"] and all(c.size == 0 for c in decoded.values())
+
+
+def _savetxt_table_reference(rows) -> bytes:
+    """The float-table bytes the np.savetxt writer produced."""
+    buf = io.BytesIO()
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+# signed zeros, subnormals, huge values, every exponent form of %.17g and
+# its longest cell
+_TABLE_FLOATS = [
+    0.0, -0.0, 5e-324, -2.5e-320, -2.2250738585072014e-308, 1e-300, -1e300, 1e300,
+    1e-5, 1.5e-4, 1e16, 1e17, 123456789.0, -math.pi, 1.0, -1.0, 0.1,
+]
+
+
+@st.composite
+def _float_tables(draw):
+    """A (rows, 1..7) float table drawn from a small pool, so values repeat."""
+    pool = draw(st.lists(st.sampled_from(_TABLE_FLOATS) | st.floats(), min_size=1, max_size=8))
+    k = draw(st.integers(1, 7))
+    index = draw(arrays(np.intp, st.tuples(st.integers(1, 40), st.just(k)),
+                        elements=st.integers(0, len(pool) - 1)))
+    return np.array(pool)[index]
+
+
+class TestTableWriter:
+    @given(_float_tables(), st.sampled_from([1, 2, 3, 16, cli._TABLE_BLOCK]))
+    def test_matches_savetxt(self, rows, block):
+        # small blocks put block boundaries inside small tables
+        buf = io.BytesIO()
+        with mock.patch.object(cli, "_TABLE_BLOCK", block):
+            _write_table_csv(buf, rows)
+        assert buf.getvalue() == _savetxt_table_reference(rows)
+
+    def test_matches_savetxt_over_several_blocks(self):
+        rng = np.random.default_rng(5)
+        rows = rng.choice(_TABLE_FLOATS, (2 * cli._TABLE_BLOCK + 5, 7))
+        rows[:, 3] = rng.normal(size=len(rows))  # mostly distinct cells
+        buf = io.BytesIO()
+        _write_table_csv(buf, rows)
+        assert buf.getvalue() == _savetxt_table_reference(rows)
+
+    def test_band_map_file_matches_savetxt(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        result = run_report(capsys, "band-map", "--resolution", 50, "--out", out)
+        assert result["rows"] == 50**3
+        header = b"theta1,theta2,theta3,lo,hi,width\n"
+        assert out.read_bytes() == header + _savetxt_table_reference(band_map(50))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--theta", "1"],
+        ["lhv", "--theta-a", "0", "--theta-b", "1"],
+        ["octet", "--theta1", "1", "--theta2", "0.5", "--theta3", "0.5"],
+    ],
+)
+def test_petabyte_count_fails_cleanly(tmp_path, args):
+    # 10^15 draws exceed the address space, so the allocation fails at once
+    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-m", "bellband.cli", *args, "--n", str(10**15), "--out", "x.csv"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("bellband: error: ") and result.stderr.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -7,6 +7,7 @@ bit for bit: the arithmetic is the same, only the loop moved into numpy.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestBandKernel:
         ref = [ref_band(*t) for t in points]
         assert bits(lo) == bits([r[0] for r in ref])
         assert bits(hi) == bits([r[1] for r in ref])
+
+    def test_band_map_memory_stays_near_its_output(self):
+        # theta1 slabs: the output, the lattice and one slab of temporaries
+        tracemalloc.start()
+        try:
+            rows = band_map(50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * rows.nbytes
 
     def test_band_limits_keep_leading_shape(self):
         points = grid_points(4).reshape(4, 16, 3)
