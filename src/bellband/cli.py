@@ -81,7 +81,7 @@ def _candidate(args) -> F4Candidate:
     if args.candidate == "grid":
         if not args.candidate_file:
             raise BellbandError("--candidate grid requires --candidate-file")
-        with open(args.candidate_file, "r", encoding="utf-8") as fh:
+        with open(args.candidate_file, "rb") as fh:
             return F4Candidate.from_json(fh.read())
     return F4Candidate.builtin(args.candidate)
 
@@ -177,9 +177,9 @@ def _write_table_csv(fh, rows) -> None:
         fh.write(out[out != 0])
 
 
-def _add_seed_out(parser, out_required=True):
+def _add_seed_out(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
-    parser.add_argument("--out", required=out_required, help="output CSV path")
+    parser.add_argument("--out", required=True, help="output CSV path")
 
 
 def _add_triple(parser):

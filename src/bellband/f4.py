@@ -19,6 +19,7 @@ import numpy as np
 from .band import band_limits, feasible_band  # noqa: F401
 from .core import BAND_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
 from .errors import DomainError, GridFormatError
+from .sampling import _check_seed
 
 _DIAG_DIR = np.full(3, 1.0 / math.sqrt(3.0))
 
@@ -92,10 +93,11 @@ class F4Candidate:
         return cls(kind="grid", name=name, grid_resolution=resolution, grid_values=values)
 
     @classmethod
-    def from_json(cls, text: str, name: str = "grid") -> "F4Candidate":
+    def from_json(cls, text, name: str = "grid") -> "F4Candidate":
+        """Load a grid document from JSON text or its UTF-8 bytes."""
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GridFormatError(f"grid document is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("kind") != "grid":
             raise GridFormatError('grid document must be an object with kind:"grid"')
@@ -236,7 +238,7 @@ def _halton(seed: int):
     # imported here: scipy.stats is most of the package's import time
     from scipy.stats import qmc
 
-    return qmc.Halton(d=3, scramble=True, seed=seed)
+    return qmc.Halton(d=3, scramble=True, seed=_check_seed(seed))
 
 
 def _cone_directions(n: int, seed: int) -> np.ndarray:

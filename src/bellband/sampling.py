@@ -1,9 +1,11 @@
 """Seeded Monte Carlo generation of outcome sequences.
 
 All samplers are deterministic functions of (parameters, seed).  Draws
-are produced in fixed-size chunks; the generator for chunk ``i`` is
+are produced in chunks of ``CHUNK``; the generator for chunk ``i`` is
 PCG64 seeded with ``SeedSequence([seed, i])``, so the output does not
-depend on how chunks are scheduled.
+depend on how chunks are scheduled.  Each chunk is drawn straight into
+one int8 block of the sampler's k columns, so a sampler holds k bytes a
+draw plus one chunk's temporaries.
 """
 
 from __future__ import annotations
@@ -37,31 +39,32 @@ def _check_count(n: int) -> int:
     return n
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    """PCG64 generator for one chunk, mixed from (seed, chunk index)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
-
-
-def _chunks(n: int):
+def _sample(n: int, seed: int, k: int, draw) -> tuple:
+    """The k int8 +/-1 columns of n draws.  Chunk i of the columns is
+    ``draw(rng, m)``, the (k, m) values of its m draws, where rng is PCG64
+    seeded with ``SeedSequence([seed, i])``."""
+    n = _check_count(n)
+    seed = _check_seed(seed)
+    block = np.empty((k, n), dtype=np.int8)
     for index, start in enumerate(range(0, n, CHUNK)):
-        yield index, min(CHUNK, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        block[:, start:start + CHUNK] = draw(rng, min(CHUNK, n - start))
+    return tuple(block)
 
 
-def _sample_categorical(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Indices of n independent draws from a finite distribution."""
+def _categorical(probs, patterns: np.ndarray):
+    """The draw of the sign patterns (rows of ``patterns``) from a finite
+    distribution."""
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    out = np.empty(n, dtype=np.int64)
-    pos = 0
-    for index, m in _chunks(n):
-        u = _chunk_rng(seed, index).random(m)
-        out[pos:pos + m] = np.searchsorted(cum, u, side="right")
-        pos += m
-    return out
+    columns = np.ascontiguousarray(patterns.T)
+    # take is about 4x faster than columns[:, index] and gives the same array
+    return lambda rng, m: columns.take(np.searchsorted(cum, rng.random(m), side="right"), axis=1)
 
 
 # outcome pairs in the order of JointDistribution2 fields
 _PAIRS2 = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
+_PLUS, _MINUS = np.int8(1), np.int8(-1)
 
 
 def sample_singlet_pairs(theta: float, n: int, seed: int = 0):
@@ -69,12 +72,7 @@ def sample_singlet_pairs(theta: float, n: int, seed: int = 0):
 
     Returns (a, b) as int8 arrays of +/-1.
     """
-    n = _check_count(n)
-    seed = _check_seed(seed)
-    dist = singlet_joint(theta)
-    idx = _sample_categorical(dist.as_array(), n, seed)
-    drawn = _PAIRS2[idx]
-    return drawn[:, 0].copy(), drawn[:, 1].copy()
+    return _sample(n, seed, 2, _categorical(singlet_joint(theta).as_array(), _PAIRS2))
 
 
 def sample_lhv_pairs(theta_a: float, theta_b: float, n: int, seed: int = 0):
@@ -88,17 +86,15 @@ def sample_lhv_pairs(theta_a: float, theta_b: float, n: int, seed: int = 0):
     for name, v in (("theta_a", theta_a), ("theta_b", theta_b)):
         if not math.isfinite(float(v)):
             raise DomainError(f"{name} must be finite, got {v}")
-    n = _check_count(n)
-    seed = _check_seed(seed)
-    a = np.empty(n, dtype=np.int8)
-    b = np.empty(n, dtype=np.int8)
-    pos = 0
-    for index, m in _chunks(n):
-        lam = _chunk_rng(seed, index).random(m) * (2.0 * math.pi)
-        a[pos:pos + m] = np.where(np.cos(lam - theta_a) >= 0.0, 1, -1)
-        b[pos:pos + m] = np.where(np.cos(lam - theta_b) >= 0.0, -1, 1)
-        pos += m
-    return a, b
+
+    def draw(rng, m):
+        lam = rng.random(m) * (2.0 * math.pi)
+        return (
+            np.where(np.cos(lam - theta_a) >= 0.0, _PLUS, _MINUS),
+            np.where(np.cos(lam - theta_b) >= 0.0, _MINUS, _PLUS),
+        )
+
+    return _sample(n, seed, 2, draw)
 
 
 @dataclass(frozen=True)
@@ -181,13 +177,5 @@ class OctetSequences:
 
 def sample_octet(dist: JointDistribution4, n: int, seed: int = 0) -> OctetSequences:
     """Draw n independent sign patterns (a_oo, b_oo, a_bo, b_ob)."""
-    n = _check_count(n)
-    seed = _check_seed(seed)
-    idx = _sample_categorical(dist.p, n, seed)
-    drawn = JointDistribution4.PATTERNS[idx]
-    return OctetSequences(
-        a_oo=drawn[:, 0].copy(),
-        b_oo=drawn[:, 1].copy(),
-        a_bo=drawn[:, 2].copy(),
-        b_ob=drawn[:, 3].copy(),
-    )
+    draw = _categorical(dist.p, JointDistribution4.PATTERNS)
+    return OctetSequences(*_sample(n, seed, 4, draw))
