@@ -343,6 +343,25 @@ class TestAnalyzeAndScan:
         code, _ = run(capsys, "scan", "--candidate", "grid", "--resolution", 5)
         assert code == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**70)], ids=["negative", "2^70"])
+    def test_analyze_rejects_seed_outside_u64(self, capsys, seed):
+        code = main(["analyze", "--candidate", "product", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"bellband: error: seed must be an unsigned 64-bit integer, got {seed}\n"
+        )
+
+    def test_grid_file_not_utf8_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_bytes(b"\xff\xfe{")
+        code = main(["scan", "--candidate", "grid", "--candidate-file", str(path),
+                     "--resolution", "5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("bellband: error: grid document is not valid JSON")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

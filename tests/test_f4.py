@@ -11,6 +11,7 @@ from bellband import (
     GridFormatError,
     axis_derivative_check,
     contradiction_report,
+    direction_quotients,
     feasible_band,
     gradient_at_origin,
     inequality_scan,
@@ -113,11 +114,32 @@ class TestCandidates:
             '{"kind": "grid", "resolution": "two", "values": [0,0,0,0,0,0,0,0]}',
             '{"kind": "grid", "resolution": 1e400, "values": [0]}',
             '{"kind": "grid", "resolution": 2.9, "values": [0,0,0,0,0,0,0,0]}',
+            pytest.param(b"\xff\xfe{", id="not-utf-8"),
+            pytest.param(
+                '{"kind": "grid", "resolution": 2, "values": [0,0,0,0,0,0,0,0]}'.encode("utf-16"),
+                id="utf-16",
+            ),
         ],
     )
     def test_malformed_grid_documents(self, doc):
         with pytest.raises(GridFormatError):
             F4Candidate.from_json(doc)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda c, seed: contradiction_report(c, seed=seed),
+        lambda c, seed: quadratic_fit(c, radius=0.1, samples=20, seed=seed),
+        lambda c, seed: direction_quotients(c, 1e-2, 8, seed=seed),
+        lambda c, seed: jump_measure(c, 1e-2, 8, seed=seed),
+    ],
+    ids=["contradiction_report", "quadratic_fit", "direction_quotients", "jump_measure"],
+)
+def test_halton_seed_outside_u64_rejected(probe, seed):
+    with pytest.raises(DomainError, match="unsigned 64-bit integer"):
+        probe(F4Candidate.product(), seed)
 
 
 class TestGradientAtOrigin:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from bellband import (
     sample_octet,
     sample_singlet_pairs,
 )
+from bellband.core import singlet_joint
+from bellband.sampling import CHUNK
 
 
 def lhv_correlation_by_quadrature(theta_a, theta_b, points=200_000):
@@ -168,3 +171,93 @@ class TestOctetSampler:
         second = sample_octet(d, 70_000, seed=123)
         assert np.array_equal(first.a_oo, second.a_oo)
         assert np.array_equal(first.b_ob, second.b_ob)
+
+
+# The chunk contract, spelled out the way the samplers first implemented
+# it: chunk i of n draws uses PCG64 seeded with SeedSequence([seed, i]); a
+# categorical sampler turns the chunk's uniforms into int64 indices of a
+# sign-pattern table and gathers the patterns, and the LHV sampler maps the
+# chunk's hidden angles to signs.
+def _chunk_uniforms(n, seed):
+    for index, start in enumerate(range(0, n, CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        yield start, rng.random(min(CHUNK, n - start))
+
+
+def _reference_categorical(probs, patterns, n, seed):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    idx = np.empty(n, dtype=np.int64)
+    for start, u in _chunk_uniforms(n, seed):
+        idx[start:start + len(u)] = np.searchsorted(cum, u, side="right")
+    drawn = patterns[idx]
+    return [drawn[:, j].copy() for j in range(patterns.shape[1])]
+
+
+def _reference_lhv(theta_a, theta_b, n, seed):
+    a = np.empty(n, dtype=np.int8)
+    b = np.empty(n, dtype=np.int8)
+    for start, u in _chunk_uniforms(n, seed):
+        lam = u * (2.0 * math.pi)
+        a[start:start + len(u)] = np.where(np.cos(lam - theta_a) >= 0.0, 1, -1)
+        b[start:start + len(u)] = np.where(np.cos(lam - theta_b) >= 0.0, -1, 1)
+    return [a, b]
+
+
+_PAIRS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
+
+
+def _assert_columns_equal(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == np.int8
+        assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+class TestChunkContract:
+    def test_singlet(self, n, seed):
+        for theta in (0.0, 1.1, math.pi):
+            _assert_columns_equal(
+                sample_singlet_pairs(theta, n, seed),
+                _reference_categorical(singlet_joint(theta).as_array(), _PAIRS, n, seed),
+            )
+
+    def test_lhv(self, n, seed):
+        for theta_a, theta_b in ((0.0, 2.0), (1.0, 5.0)):
+            _assert_columns_equal(
+                sample_lhv_pairs(theta_a, theta_b, n, seed),
+                _reference_lhv(theta_a, theta_b, n, seed),
+            )
+
+    def test_octet(self, n, seed):
+        p = np.random.default_rng(3).dirichlet(np.ones(16))
+        for dist in (JointDistribution4(p), JointDistribution4.point_mass((1, -1, -1, 1))):
+            octet = sample_octet(dist, n, seed)
+            _assert_columns_equal(
+                [octet.a_oo, octet.b_oo, octet.a_bo, octet.b_ob],
+                _reference_categorical(dist.p, JointDistribution4.PATTERNS, n, seed),
+            )
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        lambda n: sample_singlet_pairs(1.0, n, seed=3),
+        lambda n: sample_lhv_pairs(0.0, 2.0, n, seed=3),
+        lambda n: (lambda o: (o.a_oo, o.b_oo, o.a_bo, o.b_ob))(
+            sample_octet(JointDistribution4.uniform(), n, seed=3)
+        ),
+    ],
+    ids=["singlet", "lhv", "octet"],
+)
+def test_sampler_memory_is_its_columns_plus_one_chunk(sampler):
+    sampler(1)  # first-call caches are not part of the sampler's working set
+    tracemalloc.start()
+    try:
+        columns = sampler(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(c.nbytes for c in columns) + 2_000_000
