@@ -92,11 +92,10 @@ def band_map(resolution: int) -> np.ndarray:
 # --- LP oracle over distributions on {+-1}^4 -------------------------------
 
 _P = JointDistribution4.PATTERNS.astype(float)
-_M1 = _P[:, 0] * _P[:, 1]   # E[a_oo b_oo]
-_M2 = _P[:, 2] * _P[:, 1]   # E[a_bo b_oo]
-_M3 = _P[:, 0] * _P[:, 3]   # E[a_oo b_ob]
-_OBJ = _P[:, 2] * _P[:, 3]  # E[a_bo b_ob]
-_EQ = np.vstack([np.ones(16), _M1, _M2, _M3])
+# the product of each correlation's two columns at every pattern
+_M = {name: _P[:, i] * _P[:, j] for name, (i, j) in JointDistribution4.CORRELATIONS.items()}
+_OBJ = _M.pop("f")
+_EQ = np.vstack([np.ones(16), *_M.values()])
 
 _BASES = np.array(list(itertools.combinations(range(16), 4)))
 _MATS = np.ascontiguousarray(_EQ[:, _BASES].transpose(1, 0, 2))

@@ -71,4 +71,4 @@ def correlations_from_angles(theta: AngleTriple, candidate) -> CorrelationVector
     three known cosine correlations plus the candidate's value for the
     fourth."""
     c1, c2, c3 = singlet_correlation(q_plus_points(theta.as_array()))
-    return CorrelationVector(c1, c2, c3, candidate.evaluate(theta))
+    return CorrelationVector(c1, c2, c3, candidate.values(theta.as_array()))

@@ -19,9 +19,9 @@ from . import __version__
 from .band import band_map, feasible_band, feasible_distribution, lp_band
 from .chsh import boole_check, chsh_value, correlations_from_angles, polytope_member
 from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
-from .errors import BellbandError
-from .f4 import F4Candidate, contradiction_report, inequality_scan
-from .sampling import sample_lhv_pairs, sample_octet, sample_singlet_pairs
+from .errors import BellbandError, DomainError
+from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
+from .sampling import JointDistribution4, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
 def _format_number(x) -> str:
@@ -135,18 +135,19 @@ def _read_sequence_csv(path: str) -> dict:
             f"are not a whole number of {k}-cell rows of 3 bytes a cell"
         )
     rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, k, 3)
-    # "," - "+" is +1 and "," - "-" is -1; one contiguous row per column
-    values = np.subtract(_COMMA, rows[:, :, 0].T.view(np.int8), order="C")
-    # every sign byte is "+" or "-", and without them the rows read "1,...,1\n"
-    rest = (b"1," * (k - 1) + b"1\n") * len(rows)
-    if not (np.all(np.abs(values) == 1) and body.translate(None, b"+-") == rest):
-        bad = rows != _row_template(k)
-        bad[:, :, 0] &= rows[:, :, 0] != ord("-")
+    # every byte is the template's, but a sign byte may also be "-"; the
+    # template is repeated to full size, as a broadcast compare loops per row
+    template = np.frombuffer(_row_template(k).tobytes() * len(rows), dtype=np.uint8)
+    bad = rows != template.reshape(rows.shape)
+    bad[:, :, 0] &= rows[:, :, 0] != ord("-")
+    if bad.any():
         row, cell = np.argwhere(bad)[0, :2]
         raise BellbandError(
             f"{path} is not a table of +1/-1 cells: cell {rows[row, cell].tobytes()!r} "
             f"on line {row + 2}, column {names[cell]!r}"
         )
+    # "," - "+" is +1 and "," - "-" is -1; one contiguous row per column
+    values = np.subtract(_COMMA, rows[:, :, 0].T.view(np.int8), order="C")
     return dict(zip(names, values))
 
 
@@ -189,11 +190,7 @@ def _add_triple(parser):
 
 
 def _add_candidate(parser):
-    parser.add_argument(
-        "--candidate",
-        choices=("locality", "product", "product-diagonal", "grid"),
-        required=True,
-    )
+    parser.add_argument("--candidate", choices=(*BUILTIN_KINDS, "grid"), required=True)
     parser.add_argument("--candidate-file", help="grid candidate JSON document")
 
 
@@ -271,6 +268,8 @@ def _cmd_simulate(args) -> dict:
 def _cmd_lhv(args) -> dict:
     ta, tb = _angle(args, args.theta_a), _angle(args, args.theta_b)
     a, b = sample_lhv_pairs(ta, tb, args.n, args.seed)
+    if not math.isfinite(ta - tb):
+        raise DomainError(f"the angle gap {ta} - {tb} overflows a float")
     # circular gap in [0, pi]; fmod is exact, so gaps up to pi keep every bit
     gap = math.fmod(abs(ta - tb), TWO_PI)
     gap = min(gap, TWO_PI - gap)
@@ -288,19 +287,16 @@ def _cmd_octet(args) -> dict:
     f = interval.midpoint if args.f is None else args.f
     c1, c2, c3 = singlet_correlation(theta.as_array()).tolist()
     dist = feasible_distribution(c1, c2, c3, f)
-    octet = sample_octet(dist, args.n, args.seed)
-    _write_sequence_csv(
-        args.out,
-        {"a_oo": octet.a_oo, "b_oo": octet.b_oo, "a_bo": octet.a_bo, "b_ob": octet.b_ob},
-    )
+    # the fields (a_oo, b_oo, a_bo, b_ob) in the order of the pattern columns
+    columns = vars(sample_octet(dist, args.n, args.seed))
+    _write_sequence_csv(args.out, columns)
+    seqs = list(columns.values())
     return {
         "out": args.out,
         "targets": {"c1": c1, "c2": c2, "c3": c3, "f": f},
         "empirical": {
-            "c1": empirical_correlation(octet.a_oo, octet.b_oo),
-            "c2": empirical_correlation(octet.a_bo, octet.b_oo),
-            "c3": empirical_correlation(octet.a_oo, octet.b_ob),
-            "f": empirical_correlation(octet.a_bo, octet.b_ob),
+            name: empirical_correlation(seqs[i], seqs[j])
+            for name, (i, j) in JointDistribution4.CORRELATIONS.items()
         },
     }
 

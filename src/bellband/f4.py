@@ -3,6 +3,10 @@ machinery that probes their regularity at the origin of the positive
 cube: gradient, axis derivatives, second-order quotients, quadratic
 fitting, the coefficient-consistency (contradiction) report, and the
 directional-jump and inequality scans.
+
+A candidate is any object with ``values(points)``, its values over
+triples of shape (..., 3); ``name`` is optional, and a ``kind == "grid"``
+object also needs ``grid_resolution``.
 """
 
 from __future__ import annotations
@@ -106,7 +110,11 @@ class F4Candidate:
             values = doc["values"]
         except KeyError as exc:
             raise GridFormatError(f"grid document is missing field {exc}") from exc
-        return cls.from_grid(resolution, values, name=str(doc.get("name", name)))
+        # checked after from_grid's own checks, whose messages it keeps
+        candidate = cls.from_grid(resolution, values, name=str(doc.get("name", name)))
+        if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+            raise GridFormatError("grid values must be a flat list of JSON numbers")
+        return candidate
 
     def to_json(self) -> str:
         if self.kind != "grid":
@@ -169,13 +177,6 @@ def builtins() -> dict[str, F4Candidate]:
     return {kind: F4Candidate.builtin(kind) for kind in BUILTIN_KINDS}
 
 
-def _values(candidate, points: np.ndarray) -> np.ndarray:
-    """Values at (N, 3) points: one ``values`` call, else ``evaluate`` per row."""
-    if hasattr(candidate, "values"):
-        return candidate.values(points)
-    return np.array([candidate.evaluate(AngleTriple(*p)) for p in points], dtype=float)
-
-
 def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
     """One-sided finite-difference gradient at the corner of the positive
     cube, Richardson-extrapolated from steps h and h/2."""
@@ -185,7 +186,7 @@ def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
     steps = np.array([h / 2.0, h])
     # row 0 is the origin, then steps[k] * e_i at row 1 + 2*i + k
     points = np.vstack([np.zeros(3), (np.eye(3)[:, None, :] * steps[:, None]).reshape(6, 3)])
-    values = _values(candidate, points)
+    values = candidate.values(points)
     diffs = (values[1:].reshape(3, 2) - values[0]) / steps
     return (4.0 * diffs[:, 0] - diffs[:, 1]) / 3.0
 
@@ -200,7 +201,7 @@ def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float
         raise DomainError(f"t = {t} is too close to the boundary for step {h}")
     points = np.zeros((2, 3))
     points[:, i - 1] = (t - h, t + h)
-    lo, hi = _values(candidate, points)
+    lo, hi = candidate.values(points)
     deriv = (hi - lo) / (2.0 * h)
     return float(abs(deriv - math.sin(t)))
 
@@ -217,7 +218,7 @@ def _quotients(candidate, directions: np.ndarray, t: float) -> np.ndarray:
     if not (0.0 < t <= 0.5):
         raise DomainError(f"step must lie in (0, 0.5], got {t}")
     v = directions / _norms(directions)[:, None]
-    return (_values(candidate, t * v) + 1.0) / (t * t)
+    return (candidate.values(t * v) + 1.0) / (t * t)
 
 
 def second_quotient(candidate, direction, t: float) -> float:
@@ -318,7 +319,7 @@ def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> Quad
     design = np.column_stack(
         [np.ones(samples), t1, t2, t3, t1 * t1, t1 * t2, t1 * t3, t2 * t2, t2 * t3, t3 * t3]
     )
-    values = _values(candidate, pts)
+    values = candidate.values(pts)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     pred = design @ coef
     residual = float(np.sqrt(np.mean((pred - values) ** 2)))
@@ -335,7 +336,7 @@ def _cross_probe(candidate, i: int, j: int, x: float = 1e-2, ks=(2, 5, 10, 50)) 
     steps = np.zeros((3, ks.size, 3))
     steps[[0, 1], :, i] = x
     steps[[0, 2], :, j] = ks * x
-    values = _values(candidate, np.vstack([steps.reshape(-1, 3), np.zeros(3)]))
+    values = candidate.values(np.vstack([steps.reshape(-1, 3), np.zeros(3)]))
     f_ij, f_i, f_j = values[:-1].reshape(3, ks.size)
     estimates = (f_ij - f_i - f_j + values[-1]) / (ks * x * x)
     design = np.column_stack([np.ones(ks.size), ks])
@@ -390,7 +391,7 @@ def _diagonal_coeff(candidate, t: float = 1e-2) -> float:
     """Total quadratic coefficient of the candidate along the diagonal,
     from (F(t,t,t) + cos t)/t^2 with Richardson extrapolation."""
     s = np.array([t / 2.0, t])
-    values = _values(candidate, np.repeat(s[:, None], 3, axis=1))
+    values = candidate.values(np.repeat(s[:, None], 3, axis=1))
     quotient = (values - singlet_correlation(s)) / (s * s)
     extrapolated = (4.0 * quotient[0] - quotient[1]) / 3.0
     return float(extrapolated + 0.5)
@@ -409,7 +410,7 @@ def contradiction_report(
     with vanishing cross terms, yet the diagonal demands a total of 1/2.
     """
     tol = tolerances
-    value_at_origin = float(_values(candidate, np.zeros((1, 3)))[0])
+    value_at_origin = float(candidate.values(np.zeros((1, 3)))[0])
     grad = gradient_at_origin(candidate)
     axis_residuals = np.array(
         [axis_derivative_check(candidate, math.pi / 4.0, i) for i in (1, 2, 3)]
@@ -424,19 +425,17 @@ def contradiction_report(
     second_quotient_bound = float(np.max(np.abs(quotients)))
     jump_spread = float(quotients.max() - quotients.min())
 
-    flags = []
-    if abs(diagonal_sum - 0.5) > tol.coeff_tol:
-        flags.append("diagonal-constraint-violated")
-    if abs(axis_forced_sum - 1.5) > tol.coeff_tol:
-        flags.append("axis-coefficients-off")
-    if jump_spread > tol.jump_max:
-        flags.append("directional-jump-detected")
-
+    # each test passes only on a number inside its tolerance, so NaN fails it
+    diagonal_ok = abs(diagonal_sum - 0.5) <= tol.coeff_tol
+    axis_ok = abs(axis_forced_sum - 1.5) <= tol.coeff_tol
+    tests = {
+        "diagonal-constraint-violated": diagonal_ok,
+        "axis-coefficients-off": axis_ok,
+        "directional-jump-detected": jump_spread <= tol.jump_max,
+    }
+    flags = [flag for flag, ok in tests.items() if not ok]
     contradiction = (
-        fit.residual <= tol.residual_max
-        and abs(axis_forced_sum - 1.5) <= tol.coeff_tol
-        and cross_term_max <= tol.coeff_tol
-        and abs(diagonal_sum - 0.5) <= tol.coeff_tol
+        fit.residual <= tol.residual_max and axis_ok and cross_term_max <= tol.coeff_tol and diagonal_ok
     )
 
     disclaimer = None
@@ -480,7 +479,7 @@ def inequality_scan(candidate, resolution: int, tol: float = BAND_TOL) -> list[V
     """Scan the uniform resolution^3 grid over the positive cube for band
     violations, and the diagonal nodes for departures from -cos(theta)."""
     points = grid_points(resolution)
-    values = _values(candidate, points)
+    values = candidate.values(points)
     lo, hi = band_limits(points)
     forced = singlet_correlation(points[:, 0])
     band_bad = ~((lo - tol <= values) & (values <= hi + tol))

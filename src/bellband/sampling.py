@@ -106,6 +106,9 @@ class JointDistribution4:
 
     #: sign patterns, row k holds (a_oo, b_oo, a_bo, b_ob) for index k
     PATTERNS = np.array(list(itertools.product((1, -1), repeat=4)), dtype=np.int8)
+    #: each correlation is the mean product of these two pattern columns;
+    #: c1, c2 and c3 are the known ones and f is the unknown fourth
+    CORRELATIONS = {"c1": (0, 1), "c2": (2, 1), "c3": (0, 3), "f": (2, 3)}
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -10,14 +11,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bellband
 from bellband import __version__, band_map, cli
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
-from bellband.core import MAX_GRID_RESOLUTION
+from bellband.core import MAX_GRID_RESOLUTION, grid_points
 from bellband.errors import BellbandError
+from bellband.f4 import F4Candidate
 
 
 def run(capsys, *args):
@@ -82,6 +84,15 @@ class TestLhv:
         assert result["expected_correlation"] == pytest.approx(expected, abs=1e-12)
         assert result["empirical_correlation"] == pytest.approx(expected, abs=0.02)
 
+    def test_gap_overflow_fails_cleanly(self, tmp_path, capsys):
+        # each angle is finite, but their difference overflows to inf
+        out = tmp_path / "lhv.csv"
+        code = main(["lhv", "--theta-a=1e308", "--theta-b=-1e308", "--n", "5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("bellband: error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestOctetAndBoole:
     def test_octet_then_boole(self, tmp_path, capsys):
@@ -127,11 +138,12 @@ class TestOctetAndBoole:
             "a_oo,b_oo,a_bo,b_ob\n+1,1-,+1,+1\n",
             "a_oo,b_oo,a_bo,b_ob\n+1,-1\n+1,+1,+1,-1,+1,+1\n",
             "a\r\n+1\r\n-1\r\n+1\r\n",
+            "a_oo,b_oo,a_bo,b_ob\n++1,+1,+1,1\n",
         ],
         ids=[
             "non-integer", "empty", "ragged", "overflow", "short-rows", "duplicate-name",
             "unsigned", "crlf", "blank-line", "space", "bad-sign-byte", "digit",
-            "separator", "swapped", "row-break", "crlf-aligned",
+            "separator", "swapped", "row-break", "crlf-aligned", "sign-in-digit",
         ],
     )
     def test_boole_malformed_csv(self, tmp_path, capsys, text):
@@ -401,3 +413,90 @@ class TestDeterminism:
         # round-trip is lossless at 17 significant digits
         lo = doc["result"]["lo"]
         assert float(format(lo, ".17g")) == lo
+
+
+# argv fuzzing: each flag takes its value as "--flag=value", so that argparse
+# reads "-1" and "-inf" as values, not as options.  The first value of each
+# list is a valid one, drawn half the time so that whole commands succeed too.
+_FLOATS = ["0.5", "nan", "inf", "-inf", "0.0", "-0.0", "1e308", "-1e308", "1", "-1", "3",
+           str(10**30), "abc", ""]
+_COUNTS = ["1000", "-1", "0", "1", str(-(10**30)), "1e3", "nan", "abc"]
+_SEEDS = ["1", "0", "-1", str(2**64 - 1), str(2**64), str(10**30), str(-(10**30)), "abc"]
+_RESOLUTIONS = ["8", "-1", "0", "1", "2", str(-(10**30)), "nan", "abc"]
+_CANDIDATES = ["product", "locality", "product-diagonal", "grid", "other"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Files for the argv fuzz: inputs good and bad, and places to write."""
+    root = tmp_path_factory.mktemp("fuzz")
+    grid = F4Candidate.from_grid(3, F4Candidate.product().values(grid_points(3))).to_json()
+    files = {
+        "grid.json": grid,
+        "truncated.json": grid[: len(grid) // 2],
+        "strings.json": '{"kind": "grid", "resolution": 2, "values": ["0","0","0","0","0","0","0","0"]}',
+        "not-utf-8": b"\xff\xfe{",
+        "octet.csv": "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n-1,-1,+1,-1\n",
+        "bad.csv": "a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+2\n",
+    }
+    for name, content in files.items():
+        path = root / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    inputs = [str(root / name) for name in files] + [str(root / "missing"), str(root)]
+    outputs = [str(root / "out.csv"), str(root), str(root / "no" / "out.csv"), "/dev/full"]
+    # each list starts with a valid value, as the lists above do
+    return [str(root / "grid.json"), *inputs], [str(root / "octet.csv"), *inputs], outputs
+
+
+def _fuzz_specs(grids, sequences, outputs) -> dict:
+    """Subcommand -> (flag, values, required); values None marks a switch."""
+    triple = [(f"--theta{i}", _FLOATS, True) for i in (1, 2, 3)]
+    degrees = [("--degrees", None, False)]
+    seed_out = [("--seed", _SEEDS, False), ("--out", outputs, True)]
+    candidate = [("--candidate", _CANDIDATES, True), ("--candidate-file", grids, False)]
+    return {
+        "simulate": [("--theta", _FLOATS, True), ("--n", _COUNTS, True), *degrees, *seed_out],
+        "lhv": [("--theta-a", _FLOATS, True), ("--theta-b", _FLOATS, True),
+                ("--n", _COUNTS, True), *degrees, *seed_out],
+        "octet": [*triple, ("--f", _FLOATS, False), ("--n", _COUNTS, True), *degrees, *seed_out],
+        "boole": [("--in", sequences, True)],
+        "chsh": [*triple, *candidate, *degrees],
+        "band": [*triple, *degrees],
+        "band-map": [("--resolution", _RESOLUTIONS, True), ("--out", outputs, True)],
+        "lp-band": [(f"--c{i}", _FLOATS, True) for i in (1, 2, 3)],
+        "analyze": [*candidate, ("--seed", _SEEDS, False)],
+        "scan": [*candidate, ("--resolution", _RESOLUTIONS, True)],
+    }
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@settings(derandomize=True, max_examples=50, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz(fuzz_paths, command, data):
+    argv = [command]
+    for flag, values, required in _fuzz_specs(*fuzz_paths)[command]:
+        if not (required or data.draw(st.booleans())):
+            continue
+        if values is not None:
+            flag += "=" + data.draw(st.one_of(st.just(values[0]), st.sampled_from(values)))
+        argv.append(flag)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "", argv
+    if code == 1:
+        assert err.startswith("bellband: error: ") and err.count("\n") == 1, (argv, err)

@@ -49,11 +49,10 @@ class SyntheticSmooth:
 
     name = "synthetic-smooth"
 
-    def evaluate(self, theta):
-        t1, t2, t3 = theta.theta1, theta.theta2, theta.theta3
-        if t1 == t2 == t3:
-            return -math.cos(t1)
-        return -1.0 + 0.5 * (t1 * t1 + t2 * t2 + t3 * t3)
+    def values(self, points):
+        t1, t2, t3 = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+        bowl = -1.0 + 0.5 * (t1 * t1 + t2 * t2 + t3 * t3)
+        return np.where((t1 == t2) & (t2 == t3), -np.cos(t1), bowl)
 
 
 class TestCandidates:
@@ -114,6 +113,9 @@ class TestCandidates:
             '{"kind": "grid", "resolution": "two", "values": [0,0,0,0,0,0,0,0]}',
             '{"kind": "grid", "resolution": 1e400, "values": [0]}',
             '{"kind": "grid", "resolution": 2.9, "values": [0,0,0,0,0,0,0,0]}',
+            '{"kind": "grid", "resolution": 2, "values": [true,false,0,0,0,0,0,0]}',
+            '{"kind": "grid", "resolution": 2, "values": [[0,0],[0,0],[0,0],[0,0]]}',
+            '{"kind": "grid", "resolution": 2, "values": ["0","0","0","0","0","0","0","0"]}',
             pytest.param(b"\xff\xfe{", id="not-utf-8"),
             pytest.param(
                 '{"kind": "grid", "resolution": 2, "values": [0,0,0,0,0,0,0,0]}'.encode("utf-16"),
@@ -307,6 +309,20 @@ class TestContradictionReport:
         assert report.cross_term_max <= 1e-6
         assert report.diagonal_sum == pytest.approx(0.5, abs=1e-6)
         assert report.fit.residual <= 1e-8
+
+    def test_nan_coefficients_raise_their_flags(self):
+        class NanDiagonal(SyntheticSmooth):
+            """NaN on the diagonal away from the origin."""
+
+            def values(self, points):
+                t1, t2, t3 = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+                diagonal = (t1 == t2) & (t2 == t3) & (t1 > 0.0)
+                return np.where(diagonal, np.nan, super().values(points))
+
+        report = contradiction_report(NanDiagonal())
+        assert math.isnan(report.diagonal_sum) and math.isnan(report.jump_spread)
+        assert report.flags == ("diagonal-constraint-violated", "directional-jump-detected")
+        assert not report.contradiction
 
     def test_grid_disclaimer(self):
         report = contradiction_report(constant_grid(resolution=3))

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from bellband import DomainError, F4Candidate, ShapeError, band_map, inequality_scan
 from bellband import f4
 from bellband.band import band_limits
-from bellband.core import MAX_GRID_RESOLUTION, grid_points, q_plus_points
+from bellband.core import MAX_GRID_RESOLUTION, AngleTriple, grid_points, q_plus_points
 from bellband.f4 import Violation
 
 
@@ -151,14 +151,14 @@ class TestCandidateKernel:
 
     @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
     def test_batched_probes_match_pointwise_evaluation(self, candidate):
-        class EvaluateOnly:
+        class Pointwise:
             name = candidate.name
 
-            def evaluate(self, theta):
-                return candidate.evaluate(theta)
+            def values(self, points):
+                return np.array([candidate.evaluate(AngleTriple(*p)) for p in points], dtype=float)
 
         batched = f4.contradiction_report(candidate, seed=3).to_dict()
-        pointwise = f4.contradiction_report(EvaluateOnly(), seed=3).to_dict()
+        pointwise = f4.contradiction_report(Pointwise(), seed=3).to_dict()
         batched.pop("disclaimer")
         pointwise.pop("disclaimer")
         assert batched == pointwise
