@@ -105,6 +105,11 @@ _NONSING = np.rint(np.linalg.det(_MATS)) != 0
 _BASES_NS = _BASES[_NONSING]
 _INV = np.linalg.inv(_MATS[_NONSING])
 _OBJ_NS = _OBJ[_BASES_NS]
+# entry-major copies: row 928 * i + j of _INV_ROWS is row i of basis j's
+# inverse, so all basic solutions are one gemv, read as (4, 928) with one
+# contiguous row per entry, and column j of _OBJ_ROWS is basis j's objective
+_INV_ROWS = _INV.transpose(1, 0, 2).reshape(-1, 4)
+_OBJ_ROWS = np.ascontiguousarray(_OBJ_NS.T)
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ class LpResult:
 
 def _witness(basis: np.ndarray, sol: np.ndarray) -> JointDistribution4:
     p = np.zeros(16)
-    p[basis] = np.clip(sol, 0.0, None)
+    p[basis] = np.maximum(sol, 0.0)
     p /= p.sum()
     return JointDistribution4(p)
 
@@ -138,25 +143,26 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
     for name, v in (("c1", c1), ("c2", c2), ("c3", c3)):
         if not math.isfinite(float(v)) or abs(v) > 1.0:
             raise DomainError(f"{name} = {v} is not a correlation in [-1, 1]")
-    b = np.array([1.0, c1, c2, c3])
-    sols = _INV @ b
+    sols = (_INV_ROWS @ np.array([1.0, c1, c2, c3])).reshape(4, -1)
     # basic solutions are probabilities: a basis is feasible only to
     # probability rounding, or extremes escape [-1, 1] at collapsed bands
-    feasible = np.all(sols >= -ROUND_TOL, axis=1)
-    if not feasible.any():
+    worst = sols.min(axis=0)
+    feasible = worst >= -ROUND_TOL
+    # the order of np.sum over each basis's four terms, so the same bits
+    terms = sols * _OBJ_ROWS
+    objs = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    feasible_objs = objs[feasible]
+    if feasible_objs.size == 0:
         raise InfeasibleError(f"no distribution matches moments ({c1}, {c2}, {c3})")
-    objs = np.sum(sols * _OBJ_NS, axis=1)
-    objs_feas = np.where(feasible, objs, np.nan)
 
     def pick(extreme: float) -> tuple[np.ndarray, np.ndarray]:
         # among bases attaining the extreme, prefer the least degenerate one
-        near = feasible & (np.abs(objs - extreme) <= ROUND_TOL)
-        idx = np.flatnonzero(near)
-        best = idx[np.argmax(np.min(sols[idx], axis=1))]
-        return _BASES_NS[best], sols[best]
+        idx = np.flatnonzero(feasible & (np.abs(objs - extreme) <= ROUND_TOL))
+        best = idx[np.argmax(worst[idx])]
+        return _BASES_NS[best], sols[:, best]
 
-    min_value = float(np.nanmin(objs_feas))
-    max_value = float(np.nanmax(objs_feas))
+    min_value = float(feasible_objs.min())
+    max_value = float(feasible_objs.max())
     return LpResult(
         min_value=max(min_value, -1.0),
         max_value=min(max_value, 1.0),

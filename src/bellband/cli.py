@@ -93,17 +93,18 @@ def _candidate(args) -> F4Candidate:
 _COMMA = ord(",")
 
 
-def _row_template(k: int) -> np.ndarray:
-    """The k cells of a row of "+1" cells, as a (k, 3) byte array."""
-    cells = np.frombuffer(b"+1," * k, dtype=np.uint8).reshape(k, 3).copy()
-    cells[-1, 2] = ord("\n")
-    return cells
+def _rows_template(n: int, k: int) -> np.ndarray:
+    """n rows of k "+1" cells, as a writable (n, k, 3) byte array."""
+    row = bytearray(b"+1," * k)
+    row[-1] = ord("\n")
+    # repeating the row's bytes is about 4x faster than np.tile
+    return np.frombuffer(row * n, dtype=np.uint8).reshape(n, k, 3)
 
 
 def _write_sequence_csv(path: str, columns: dict) -> None:
     """Write equal-length +/-1 columns as a sequence file."""
     names = list(columns)
-    rows = np.tile(_row_template(len(names)), (len(columns[names[0]]), 1, 1))
+    rows = _rows_template(len(columns[names[0]]), len(names))
     for j, name in enumerate(names):
         # "," - (+1) is "+" and "," - (-1) is "-"
         np.subtract(_COMMA, columns[name], out=rows[:, j, 0], casting="unsafe")
@@ -136,9 +137,8 @@ def _read_sequence_csv(path: str) -> dict:
         )
     rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, k, 3)
     # every byte is the template's, but a sign byte may also be "-"; the
-    # template is repeated to full size, as a broadcast compare loops per row
-    template = np.frombuffer(_row_template(k).tobytes() * len(rows), dtype=np.uint8)
-    bad = rows != template.reshape(rows.shape)
+    # template is full size, as a broadcast compare loops per row
+    bad = rows != _rows_template(len(rows), k)
     bad[:, :, 0] &= rows[:, :, 0] != ord("-")
     if bad.any():
         row, cell = np.argwhere(bad)[0, :2]

@@ -45,6 +45,8 @@ def _sample(n: int, seed: int, k: int, draw) -> tuple:
     seeded with ``SeedSequence([seed, i])``."""
     n = _check_count(n)
     seed = _check_seed(seed)
+    if k * n > np.iinfo(np.intp).max:
+        raise DomainError(f"{n} draws of {k} columns exceed the address space")
     block = np.empty((k, n), dtype=np.int8)
     for index, start in enumerate(range(0, n, CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
@@ -111,14 +113,16 @@ class JointDistribution4:
     CORRELATIONS = {"c1": (0, 1), "c2": (2, 1), "c3": (0, 3), "f": (2, 3)}
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.shape != (16,):
             raise ShapeError(f"expected 16 probabilities, got shape {p.shape}")
-        if np.any(p < -ROUND_TOL):
+        if p.min() < -ROUND_TOL:
             raise DomainError("negative probability entry")
-        if abs(p.sum() - 1.0) > ROUND_TOL:
-            raise DomainError(f"probabilities sum to {p.sum()}, not 1")
-        p = np.clip(p, 0.0, None)
+        total = p.sum()
+        # written so that NaN fails it too
+        if not abs(total - 1.0) <= ROUND_TOL:
+            raise DomainError(f"probabilities sum to {total}, not 1")
+        np.maximum(p, 0.0, out=p)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellband import (
     AngleTriple,
+    band,
     DomainError,
     InfeasibleError,
     Interval,
@@ -14,6 +16,7 @@ from bellband import (
     feasible_distribution,
     lp_band,
 )
+from bellband.core import BAND_TOL, ROUND_TOL
 
 correlations = st.floats(-1, 1, allow_nan=False)
 cube_angles = st.floats(0, math.pi, allow_nan=False)
@@ -187,3 +190,98 @@ class TestFeasibleDistribution:
         assert d.moment(2, 1) == pytest.approx(c2, abs=1e-9)
         assert d.moment(0, 3) == pytest.approx(c3, abs=1e-9)
         assert d.moment(2, 3) == pytest.approx(f, abs=1e-9)
+
+
+# --- lp_band against its first form, bit for bit ---------------------------
+
+
+def _reference_lp_band(c1, c2, c3):
+    """lp_band as first written: basic solutions as the stacked product
+    _INV @ b, objectives by np.sum, extremes by nanmin/nanmax over the
+    feasible bases.  Returns the extremes and the witness vectors."""
+    sols = band._INV @ np.array([1.0, c1, c2, c3])
+    feasible = np.all(sols >= -ROUND_TOL, axis=1)
+    objs = np.sum(sols * band._OBJ_NS, axis=1)
+    objs_feas = np.where(feasible, objs, np.nan)
+
+    def witness(extreme):
+        idx = np.flatnonzero(feasible & (np.abs(objs - extreme) <= ROUND_TOL))
+        best = idx[np.argmax(np.min(sols[idx], axis=1))]
+        p = np.zeros(16)
+        p[band._BASES_NS[best]] = np.clip(sols[best], 0.0, None)
+        return p / p.sum()
+
+    lo, hi = float(np.nanmin(objs_feas)), float(np.nanmax(objs_feas))
+    return max(lo, -1.0), min(hi, 1.0), witness(lo), witness(hi)
+
+
+def _reference_distribution(reference, f):
+    lo, hi, witness_min, witness_max = reference
+    span = hi - lo
+    if span <= BAND_TOL:
+        return witness_min
+    lam = min(max((hi - f) / span, 0.0), 1.0)
+    return np.clip(lam * witness_min + (1.0 - lam) * witness_max, 0.0, None)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_same_bits(c):
+    """lp_band and feasible_distribution at correlations c give the bytes
+    of the reference: extremes, witnesses, and distributions at both ends
+    and the middle of the band."""
+    reference = _reference_lp_band(*c)
+    result = lp_band(*c)
+    assert _bits(result.min_value) == _bits(reference[0])
+    assert _bits(result.max_value) == _bits(reference[1])
+    assert result.witness_min.p.tobytes() == reference[2].tobytes()
+    assert result.witness_max.p.tobytes() == reference[3].tobytes()
+    for f in (reference[0], 0.5 * (reference[0] + reference[1]), reference[1]):
+        got = feasible_distribution(*c, f).p
+        assert got.tobytes() == _reference_distribution(reference, f).tobytes()
+
+
+def _edge_and_near_edge_angles():
+    # every placement of 0 and pi on the components, the rest drawn, then
+    # components within 1e-9..1e-3 of an edge
+    rng = np.random.default_rng(8)
+    placements = itertools.product((None, 0.0, math.pi), repeat=3)
+    for placement in placements:
+        for _ in range(3):
+            yield [rng.uniform(0, math.pi) if x is None else x for x in placement]
+    for _ in range(300):
+        t = rng.uniform(0, math.pi, 3)
+        for i in rng.choice(3, rng.integers(1, 4), replace=False):
+            offset = 10.0 ** rng.uniform(-9, -3)
+            t[i] = offset if rng.random() < 0.5 else math.pi - offset
+        yield t
+
+
+_SET = {
+    "unit": list(itertools.product((-1.0, 0.0, 1.0), repeat=3)),
+    "corner": [-np.cos(t) for t in itertools.product((0.0, math.pi / 2, math.pi), repeat=3)],
+    "edge": [-np.cos(t) for t in _edge_and_near_edge_angles()],
+}
+
+
+class TestLpBandBits:
+    """The fast lp_band keeps every bit.  Its basic solutions are one BLAS
+    gemv over entry-major inverses, so a failure here on a new platform
+    points at the BLAS in use (CI prints numpy.show_config())."""
+
+    @pytest.mark.parametrize("name", list(_SET))
+    def test_fixed_sets(self, name):
+        for c in _SET[name]:
+            assert_same_bits(tuple(float(x) for x in c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(cube_angles, cube_angles, cube_angles))
+    def test_angle_triples(self, theta):
+        assert_same_bits(tuple(-math.cos(t) for t in theta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(correlations, correlations, correlations))
+    def test_correlation_triples(self, c):
+        assert_same_bits(c)

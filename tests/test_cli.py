@@ -247,6 +247,7 @@ class TestTableWriter:
         assert out.read_bytes() == header + _savetxt_table_reference(band_map(50))
 
 
+@pytest.mark.parametrize("n", [10**15, 2**62, 10**29], ids=["1e15", "2^62", "1e29"])
 @pytest.mark.parametrize(
     "args",
     [
@@ -255,11 +256,12 @@ class TestTableWriter:
         ["octet", "--theta1", "1", "--theta2", "0.5", "--theta3", "0.5"],
     ],
 )
-def test_petabyte_count_fails_cleanly(tmp_path, args):
-    # 10^15 draws exceed the address space, so the allocation fails at once
+def test_petabyte_count_fails_cleanly(tmp_path, args, n):
+    # 10^15 draws exceed the memory, so the allocation fails at once; from
+    # 2^62 draws the columns' bytes exceed the largest array numpy can index
     env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
     result = subprocess.run(
-        [sys.executable, "-m", "bellband.cli", *args, "--n", str(10**15), "--out", "x.csv"],
+        [sys.executable, "-m", "bellband.cli", *args, "--n", str(n), "--out", "x.csv"],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert result.returncode == 1 and result.stdout == ""

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellband import band, lp_band
-from bellband.core import BAND_TOL, ROUND_TOL, singlet_correlation
+from bellband.core import BAND_TOL, ROUND_TOL, grid_points, singlet_correlation
 
 # sign patterns (a_oo, b_oo, a_bo, b_ob), in the order of JointDistribution4
 _PATTERNS = list(itertools.product((1, -1), repeat=4))
@@ -112,6 +112,50 @@ def test_reference_bases_are_the_package_bases():
     # the exact reference finds the same non-singular bases, in the same order
     assert len(BASES) == 928
     assert [tuple(b) for b in band._BASES_NS.tolist()] == BASES
+
+
+def test_inverses_are_dyadic():
+    # every entry of a basis inverse is exactly k/16, so each basic solution
+    # is a sum of four exact products and is off by a few ulp at most
+    scaled = band._INV * 16
+    assert np.array_equal(scaled, np.rint(scaled))
+
+
+def dual_vertices():
+    """The distinct dual basic solutions y_B = _INV[B]^T _OBJ_NS[B] that are
+    dual feasible for the minimum (every reduced cost _OBJ - y_B . _EQ is at
+    least 0) and for the maximum (every one at most 0), in integers: each
+    array is scaled by 16, which makes the inverses integral."""
+    inv16 = np.rint(band._INV * 16).astype(np.int64)
+    eq, obj = band._EQ.astype(np.int64), band._OBJ.astype(np.int64)
+    assert np.array_equal(inv16, band._INV * 16)
+    assert np.array_equal(eq, band._EQ) and np.array_equal(obj, band._OBJ)
+    y16 = np.einsum("bij,bi->bj", inv16, band._OBJ_NS.astype(np.int64))
+    reduced16 = 16 * obj - y16 @ eq
+    assert np.all(y16 % 16 == 0)
+    lower = {tuple(y) for y in (y16[np.all(reduced16 >= 0, axis=1)] // 16).tolist()}
+    upper = {tuple(y) for y in (y16[np.all(reduced16 <= 0, axis=1)] // 16).tolist()}
+    return lower, upper
+
+
+def test_dual_vertices_are_the_chsh_facets():
+    # Fine's theorem from the LP data: four CHSH facets and the trivial bound
+    # on each side, those of the maximum mirrored, -y a (-2, s) with s1 s2 s3 = -1
+    signs = list(itertools.product((1, -1), repeat=3))
+    lower, upper = dual_vertices()
+    assert lower == {(-2, *s) for s in signs if math.prod(s) == 1} | {(-1, 0, 0, 0)}
+    assert upper == {(2, *s) for s in signs if math.prod(s) == 1} | {(1, 0, 0, 0)}
+
+
+def test_closed_form_is_the_dual_bound_on_the_whole_grid():
+    # weak duality makes each vertex a bound on f, and the LP optimum attains
+    # the best one, so the band is [max of the lower, min of the upper]
+    points = grid_points(50)
+    moments = np.column_stack([np.ones(len(points)), singlet_correlation(points)])
+    lower, upper = (np.array(sorted(v), dtype=float).T for v in dual_vertices())
+    closed_lo, closed_hi = band.band_limits(points)
+    assert np.abs(closed_lo - (moments @ lower).max(axis=1)).max() <= ROUND_TOL
+    assert np.abs(closed_hi - (moments @ upper).min(axis=1)).max() <= ROUND_TOL
 
 
 def test_reference_on_known_bands():

@@ -104,6 +104,14 @@ class TestJointDistribution4:
         with pytest.raises(ShapeError):
             JointDistribution4(np.full(8, 0.125))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, entry):
+        # every comparison with NaN is false, so a check that rejects only on
+        # a true comparison once let an all-NaN vector through to sample_octet
+        for p in (np.full(16, entry), np.r_[entry, np.full(15, 1.0 / 15.0)]):
+            with pytest.raises(DomainError):
+                JointDistribution4(p)
+
     def test_point_mass_moments(self):
         d = JointDistribution4.point_mass((1, -1, 1, -1))
         assert d.moment(0, 1) == -1.0
