@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 from .core import ROUND_TOL, AngleTriple, empirical_correlation, q_plus_points, singlet_correlation
 from .errors import DomainError
+from .sampling import JointDistribution4
 
 
 class BooleResult(NamedTuple):
@@ -29,10 +30,11 @@ def boole_check(u, x, v, y) -> BooleResult:
     lhs1 = |<u,x> + <v,x>| + |<u,y> - <v,y>| and lhs2 with the signs
     swapped; both are <= 2 for any +/-1 sequences.
     """
-    ux = empirical_correlation(u, x)
-    vx = empirical_correlation(v, x)
-    uy = empirical_correlation(u, y)
-    vy = empirical_correlation(v, y)
+    # (u, x, v, y) are the pattern columns, so the pairs are c1, c2, c3, f
+    seqs = (u, x, v, y)
+    ux, vx, uy, vy = (
+        empirical_correlation(seqs[i], seqs[j]) for i, j in JointDistribution4.CORRELATIONS.values()
+    )
     lhs1, lhs2 = _sides(ux, vx, uy, vy)
     return BooleResult(lhs1, lhs2, max(lhs1, lhs2) <= 2.0 + ROUND_TOL)
 

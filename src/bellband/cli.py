@@ -10,6 +10,7 @@ files are CSV with cells exactly ``+1`` or ``-1`` in fixed-width rows
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -21,7 +22,9 @@ from .chsh import boole_check, chsh_value, correlations_from_angles, polytope_me
 from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
 from .errors import BellbandError, DomainError
 from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
-from .sampling import JointDistribution4, sample_lhv_pairs, sample_octet, sample_singlet_pairs
+from .sampling import (
+    JointDistribution4, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs,
+)
 
 
 def _format_number(x) -> str:
@@ -153,28 +156,49 @@ def _read_sequence_csv(path: str) -> dict:
 
 # A float table is written as "%.17g" cells joined by "," with "\n" after
 # each row: the bytes of np.savetxt(fmt="%.17g", delimiter=",").  A grid
-# table repeats few distinct floats, so each block of rows formats every
-# distinct bit pattern once (bit patterns keep -0.0, 0.0 and NaN payloads
-# apart), gathers the cells from a NUL-padded table of their bytes and drops
-# the NULs.  A block takes about 100 bytes a cell while it is written, so
-# 2^11 rows of 6 cells take about 1 MB whatever the size of the table.
+# table repeats few distinct floats, so each block of rows takes its
+# distinct bit patterns (they keep -0.0, 0.0 and NaN payloads apart), looks
+# them up in a direct-mapped cache of formatted cells that every block of
+# the table shares, formats only the misses, gathers the cells from a
+# NUL-padded table of their bytes and drops the NULs.  A block takes about
+# 100 bytes a cell while it is written, so 2^11 rows of 6 cells take about
+# 1 MB, and the cache 4.5 MB, whatever the size of the table.
 _TABLE_BLOCK = 1 << 11
+#: slots of the cell cache, a power of two
+_CELL_CACHE = 1 << 17
+# a slot: bit pattern, cell length (0 while empty) and NUL-padded cell; the
+# longest "%.17g," cell is 25 bytes, such as "-1.2345678901234567e-308,"
+_CELL = np.dtype([("bits", np.uint64), ("width", np.uint8), ("text", np.uint8, 25)])
+_HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
 def _write_table_csv(fh, rows) -> None:
     """Write the rows of a 2-D float array to a binary file as CSV."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
+    cache = np.zeros(_CELL_CACHE, dtype=_CELL)
+    # multiplicative hashing: the top log2(slots) bits of bits * _HASH
+    shift = np.uint64(65 - _CELL_CACHE.bit_length())
     for start in range(0, len(rows), _TABLE_BLOCK):
         block = rows[start:start + _TABLE_BLOCK]
         bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        texts = [format(v, ".17g") + "," for v in bits.view(np.float64).tolist()]
-        cells = np.array(texts, dtype=np.bytes_)
-        table = cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+        slots = (bits * _HASH >> shift).astype(np.intp)
+        # read every slot before storing a miss: two of this block's
+        # distinct floats may share a slot
+        local = cache.take(slots)
+        miss = np.flatnonzero((local["bits"] != bits) | (local["width"] == 0))
+        texts = [format(v, ".17g") + "," for v in bits[miss].view(np.float64).tolist()]
+        cells = np.empty(len(texts), dtype=_CELL)
+        cells["bits"] = bits[miss]
+        cells["width"] = np.fromiter(map(len, texts), dtype=np.uint8, count=len(texts))
+        cells["text"] = np.array(texts, dtype="S25").view(np.uint8).reshape(-1, 25)
+        local.put(miss, cells)
+        # whole slots, so a slot two misses share holds one of them intact
+        cache.put(slots[miss], cells)
         index = inverse.reshape(block.shape)
-        out = table[index]
+        out = local["text"][index]
         # the "," of each row's last cell becomes "\n"
-        commas = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) - 1
-        out[np.arange(len(block)), -1, commas[index[:, -1]]] = ord("\n")
+        commas = local["width"][index[:, -1]].astype(np.intp) - 1
+        out[np.arange(len(block)), -1, commas] = ord("\n")
         fh.write(out[out != 0])
 
 
@@ -303,11 +327,12 @@ def _cmd_octet(args) -> dict:
 
 def _cmd_boole(args) -> dict:
     cols = _read_sequence_csv(args.infile)
-    required = ("a_oo", "b_oo", "a_bo", "b_ob")
+    # the OctetSequences fields, in the order of the pattern columns
+    required = [field.name for field in dataclasses.fields(OctetSequences)]
     missing = [name for name in required if name not in cols]
     if missing:
         raise BellbandError(f"input CSV is missing columns {missing}")
-    result = boole_check(cols["a_oo"], cols["b_oo"], cols["a_bo"], cols["b_ob"])
+    result = boole_check(*(cols[name] for name in required))
     return {"lhs1": result.lhs1, "lhs2": result.lhs2, "holds": result.holds}
 
 

@@ -165,9 +165,11 @@ class JointDistribution2:
         p = self.as_array()
         if np.any(p < -ROUND_TOL):
             raise DomainError(f"negative probability in {p}")
-        if abs(p.sum() - 1.0) > ROUND_TOL:
+        # the sum and marginal tests are written so that NaN fails them
+        if not abs(p.sum() - 1.0) <= ROUND_TOL:
             raise DomainError(f"probabilities sum to {p.sum()}, not 1")
-        if abs(self.p_pp + self.p_pm - 0.5) > ROUND_TOL or abs(self.p_pp + self.p_mp - 0.5) > ROUND_TOL:
+        marginals = (self.p_pp + self.p_pm, self.p_pp + self.p_mp)
+        if not all(abs(m - 0.5) <= ROUND_TOL for m in marginals):
             raise DomainError("marginals are not uniform")
 
     def as_array(self) -> np.ndarray:

@@ -222,14 +222,58 @@ def _float_tables(draw):
     return np.array(pool)[index]
 
 
+def _write_table_bytes(rows, block=cli._TABLE_BLOCK, slots=cli._CELL_CACHE) -> bytes:
+    buf = io.BytesIO()
+    with mock.patch.object(cli, "_TABLE_BLOCK", block), mock.patch.object(cli, "_CELL_CACHE", slots):
+        _write_table_csv(buf, rows)
+    return buf.getvalue()
+
+
+_NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+
+
 class TestTableWriter:
-    @given(_float_tables(), st.sampled_from([1, 2, 3, 16, cli._TABLE_BLOCK]))
-    def test_matches_savetxt(self, rows, block):
-        # small blocks put block boundaries inside small tables
-        buf = io.BytesIO()
-        with mock.patch.object(cli, "_TABLE_BLOCK", block):
-            _write_table_csv(buf, rows)
-        assert buf.getvalue() == _savetxt_table_reference(rows)
+    @given(
+        _float_tables(),
+        st.sampled_from([1, 2, 3, 16, cli._TABLE_BLOCK]),
+        st.sampled_from([1, 2, 4, cli._CELL_CACHE]),
+    )
+    def test_matches_savetxt(self, rows, block, slots):
+        # small blocks put block boundaries inside small tables, and a cache
+        # of a few slots makes distinct floats of one block share a slot and
+        # later blocks evict the cells of earlier ones
+        assert _write_table_bytes(rows, block, slots) == _savetxt_table_reference(rows)
+
+    @pytest.mark.parametrize("slots", [1, 2, 4, cli._CELL_CACHE])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # 0.1 is formatted in block 1, evicted or kept, and read in block 3
+            [[0.1, 2.0], [3.0, 4.0], [5.0, 0.1]],
+            # the longest cell appears only in the last block
+            [[1.0, 2.0], [3.0, 0.5], [1.0, -1.2345678901234567e-308]],
+            # each zero and each NaN payload is first seen in its own block
+            [[0.0, 1.0], [-0.0, 1.0], [_NAN_PAYLOADS[0], 0.0], [_NAN_PAYLOADS[1], -0.0]],
+        ],
+        ids=["reappears", "longest-late", "zeros-and-nans"],
+    )
+    def test_cells_across_blocks(self, rows, slots):
+        rows = np.array(rows)
+        assert _write_table_bytes(rows, 1, slots) == _savetxt_table_reference(rows)
+
+    @pytest.mark.parametrize("resolution", [50, 64])
+    def test_memory_does_not_grow_with_the_table(self, resolution):
+        # the writer holds one block and the fixed cell cache; the r = 50
+        # table alone is 6 MB, so a whole-table np.unique goes past the bound
+        rows = band_map(resolution)
+        with open(os.devnull, "wb") as sink:
+            tracemalloc.start()
+            try:
+                _write_table_csv(sink, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_matches_savetxt_over_several_blocks(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ from bellband import (
     AngleQuadruplet,
     AngleTriple,
     DomainError,
+    JointDistribution2,
     ShapeError,
     empirical_correlation,
     reduce_angles,
@@ -129,6 +130,23 @@ class TestSingletJoint:
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=1000):
             d = singlet_joint(theta)
             assert abs(d.expected_product - twisted_malus(theta)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "p",
+        [(math.nan,) * 4, (math.nan, 0.5, 0.5, 0.0), (0.0, 0.5, 0.5, math.nan)],
+        ids=["all-nan", "first-nan", "last-nan"],
+    )
+    def test_nan_entries_rejected(self, p):
+        with pytest.raises(DomainError, match="probabilities sum to nan, not 1"):
+            JointDistribution2(*p)
+
+    def test_messages_unchanged(self):
+        with pytest.raises(DomainError, match="negative probability"):
+            JointDistribution2(-0.5, 1.0, 0.5, 0.0)
+        with pytest.raises(DomainError, match="sum to 1.5, not 1"):
+            JointDistribution2(0.5, 0.5, 0.5, 0.0)
+        with pytest.raises(DomainError, match="marginals are not uniform"):
+            JointDistribution2(0.5, 0.25, 0.25, 0.0)
 
 
 class TestEmpiricalCorrelation:
