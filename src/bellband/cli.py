@@ -291,9 +291,10 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_lhv(args) -> dict:
     ta, tb = _angle(args, args.theta_a), _angle(args, args.theta_b)
-    a, b = sample_lhv_pairs(ta, tb, args.n, args.seed)
-    if not math.isfinite(ta - tb):
+    # checked before the draws; the sampler itself rejects a nan or inf angle
+    if math.isfinite(ta) and math.isfinite(tb) and not math.isfinite(ta - tb):
         raise DomainError(f"the angle gap {ta} - {tb} overflows a float")
+    a, b = sample_lhv_pairs(ta, tb, args.n, args.seed)
     # circular gap in [0, pi]; fmod is exact, so gaps up to pi keep every bit
     gap = math.fmod(abs(ta - tb), TWO_PI)
     gap = min(gap, TWO_PI - gap)

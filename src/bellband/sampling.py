@@ -56,12 +56,22 @@ def _sample(n: int, seed: int, k: int, draw) -> tuple:
 
 def _categorical(probs, patterns: np.ndarray):
     """The draw of the sign patterns (rows of ``patterns``) from a finite
-    distribution."""
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
+    distribution.  A uniform u draws the index that counts the edges
+    ``cumsum(probs)[:-1]`` at or below u.  The edges do not decrease, so
+    those are a prefix and the count is ``searchsorted(cum, u, side="right")``
+    with ``cum[-1] = 1.0``, ties and edges rounded past 1.0 included."""
+    edges = np.cumsum(probs)[:-1]
     columns = np.ascontiguousarray(patterns.T)
-    # take is about 4x faster than columns[:, index] and gives the same array
-    return lambda rng, m: columns.take(np.searchsorted(cum, rng.random(m), side="right"), axis=1)
+
+    def draw(rng, m):
+        u = rng.random(m)
+        index, below = np.zeros(m, dtype=np.uint8), np.empty(m, dtype=bool)
+        for edge in edges:  # one compare and one add per edge, no binary search
+            index += np.less_equal(edge, u, out=below)
+        # take is about 4x faster than columns[:, index] and gives the same array
+        return columns.take(index, axis=1)
+
+    return draw
 
 
 # outcome pairs in the order of JointDistribution2 fields

@@ -93,6 +93,24 @@ class TestLhv:
         assert captured.err.startswith("bellband: error: ") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_gap_overflow_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled before the angle gap was checked")
+
+        monkeypatch.setattr(cli, "sample_lhv_pairs", no_draws)
+        code = main(["lhv", "--theta-a=1e308", "--theta-b=-1e308", "--n", "5",
+                     "--out", str(tmp_path / "lhv.csv")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and "overflows a float" in err
+
+    @pytest.mark.parametrize("angles", [("nan", "0"), ("0", "inf"), ("inf", "-inf")])
+    def test_non_finite_angle_names_the_angle(self, tmp_path, capsys, angles):
+        code = main(["lhv", f"--theta-a={angles[0]}", f"--theta-b={angles[1]}", "--n", "5",
+                     "--out", str(tmp_path / "lhv.csv")])
+        err = capsys.readouterr().err
+        name = "theta_a" if angles[0] != "0" else "theta_b"
+        assert code == 1 and err.count("\n") == 1 and f"{name} must be finite" in err
+
 
 class TestOctetAndBoole:
     def test_octet_then_boole(self, tmp_path, capsys):

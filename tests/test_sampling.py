@@ -19,7 +19,7 @@ from bellband import (
     sample_singlet_pairs,
 )
 from bellband.core import singlet_joint
-from bellband.sampling import CHUNK
+from bellband.sampling import CHUNK, _categorical
 
 
 def lhv_correlation_by_quadrature(theta_a, theta_b, points=200_000):
@@ -192,12 +192,16 @@ def _chunk_uniforms(n, seed):
         yield start, rng.random(min(CHUNK, n - start))
 
 
-def _reference_categorical(probs, patterns, n, seed):
+def _reference_index(probs, u):
     cum = np.cumsum(probs)
     cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+def _reference_categorical(probs, patterns, n, seed):
     idx = np.empty(n, dtype=np.int64)
     for start, u in _chunk_uniforms(n, seed):
-        idx[start:start + len(u)] = np.searchsorted(cum, u, side="right")
+        idx[start:start + len(u)] = _reference_index(probs, u)
     drawn = patterns[idx]
     return [drawn[:, j].copy() for j in range(patterns.shape[1])]
 
@@ -247,6 +251,56 @@ class TestChunkContract:
                 [octet.a_oo, octet.b_oo, octet.a_bo, octet.b_ob],
                 _reference_categorical(dist.p, JointDistribution4.PATTERNS, n, seed),
             )
+
+
+class _FixedUniforms:
+    """A stand-in generator whose uniforms are chosen by the test."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        assert m == len(self.u)
+        return self.u.copy()
+
+
+def _edge_uniforms(probs):
+    """0, each cumulative edge and the float just below it, and the largest
+    uniform below 1: every place where a draw can change pattern."""
+    cum = np.cumsum(probs)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0)])
+    return u[u < 1.0]
+
+
+def _over_one():
+    # sums to 1 + 5e-13, within ROUND_TOL, so the last edge lies past 1.0
+    p = np.r_[np.full(15, 1.0 / 15.0), 0.0]
+    p[14] += 5e-13
+    return JointDistribution4(p).p
+
+
+_EDGE_DISTRIBUTIONS = {
+    "singlet-0": singlet_joint(0.0).as_array(),
+    "singlet-pi": singlet_joint(math.pi).as_array(),
+    "singlet-1.1": singlet_joint(1.1).as_array(),
+    "zeros-between": np.array([0, 0, 0.25, 0, 0, 0.25, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0]),
+    "dirichlet": np.random.default_rng(4).dirichlet(np.full(16, 0.3)),
+    **{f"point-mass-{k}": np.eye(16)[k] for k in range(16)},
+    "sum-over-one": _over_one(),
+}
+
+
+@pytest.mark.parametrize("probs", _EDGE_DISTRIBUTIONS.values(), ids=_EDGE_DISTRIBUTIONS.keys())
+def test_categorical_edges_match_searchsorted(probs):
+    # an identity pattern table makes the drawn column the drawn index
+    identity = np.arange(len(probs), dtype=np.int8)[:, None]
+    u = _edge_uniforms(probs)
+    (drawn,) = _categorical(probs, identity)(_FixedUniforms(u), len(u))
+    assert np.array_equal(drawn, _reference_index(probs, u))
+
+
+def test_sum_over_one_has_an_edge_past_one():
+    assert np.cumsum(_over_one())[-2] > 1.0
 
 
 @pytest.mark.parametrize(
