@@ -194,9 +194,11 @@ def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
 def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float:
     """Absolute deviation of the central-difference partial derivative at
     t*e_i from the forced value sin(t)."""
-    t = float(t)
+    t, h = float(t), float(h)
     if i not in (1, 2, 3):
         raise DomainError(f"axis index must be 1, 2 or 3, got {i}")
+    if not h > 0.0:
+        raise DomainError(f"step must be positive, got {h}")
     if not (h < t < math.pi - h):
         raise DomainError(f"t = {t} is too close to the boundary for step {h}")
     points = np.zeros((2, 3))
@@ -234,24 +236,42 @@ def second_quotient(candidate, direction, t: float) -> float:
     return float(_quotients(candidate, v[None, :], t)[0])
 
 
-def _halton(seed: int):
-    """A scrambled 3-d Halton engine."""
-    # imported here: scipy.stats is most of the package's import time
-    from scipy.stats import qmc
+def _halton(seed: int, n: int) -> np.ndarray:
+    """The first n points, shape (n, 3), of Owen's scrambled Halton
+    sequence in bases 2, 3 and 5 (A. B. Owen, arXiv:1706.02808), bit for
+    bit those of ``stats.qmc.Halton(d=3, scramble=True, seed=seed)``.
 
-    return qmc.Halton(d=3, scramble=True, seed=_check_seed(seed))
+    Coordinate d of point i adds ``terms[j, digit j of i]`` in order over
+    the places j; a place whose power of the base reaches n has digit 0
+    at every point, so it adds its constant ``terms[j, 0]``.
+    """
+    rng = np.random.default_rng(_check_seed(seed))
+    points = np.zeros((3, n))
+    for column, base in zip(points, (2, 3, 5)):
+        # one permutation of the digits per place whose weight base**-(j+1)
+        # still shows in a double; the rows draw from rng in order
+        places = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.repeat(np.arange(base)[None], places, axis=0), axis=1)
+        scales = np.divide.accumulate(np.r_[1.0, np.full(places, float(base))])[1:]
+        terms = perms * scales[:, None]
+        quotient = np.arange(n)
+        for j in range(places):
+            if base ** j < n:
+                quotient, digit = np.divmod(quotient, base)
+                column += terms[j, digit]
+            else:
+                column += terms[j, 0]
+    return points.T
 
 
 def _cone_directions(n: int, seed: int) -> np.ndarray:
-    """n quasi-random unit directions in the positive cone (Halton)."""
-    engine = _halton(seed)
-    dirs = np.empty((0, 3))
-    while dirs.shape[0] < n:
-        rows = engine.random(2 * n)
-        norms = _norms(rows)
-        keep = norms > 0.0
-        dirs = np.vstack([dirs, rows[keep] / norms[keep, None]])
-    return dirs[:n]
+    """The first n nonzero Halton points, scaled to unit length.  Base-2
+    coordinates of distinct indices below 2**53 are distinct exact dyadic
+    sums, so at most one of the first n + 1 points is 0."""
+    rows = _halton(seed, n + 1)
+    norms = _norms(rows)
+    keep = norms > 0.0
+    return (rows[keep] / norms[keep, None])[:n]
 
 
 def direction_quotients(candidate, t: float, n_directions: int, seed: int = 0) -> np.ndarray:
@@ -295,14 +315,16 @@ class QuadraticFit:
 
 
 def _ball_points(radius: float, count: int, seed: int) -> np.ndarray:
-    engine = _halton(seed)
-    points = np.empty((0, 3))
-    while points.shape[0] < count:
-        batch = engine.random(4 * count) * radius
+    """The first count nonzero Halton points, scaled by radius, that lie in
+    the ball of that radius."""
+    size = 4 * count
+    while True:
+        batch = _halton(seed, size) * radius
         norms = np.linalg.norm(batch, axis=1)
-        keep = batch[(norms <= radius) & (norms > 0.0)]
-        points = np.vstack([points, keep])
-    return points[:count]
+        points = batch[(norms <= radius) & (norms > 0.0)]
+        if points.shape[0] >= count:
+            return points[:count]
+        size *= 2
 
 
 def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> QuadraticFit:

@@ -19,7 +19,7 @@ from bellband import __version__, band_map, cli
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
 from bellband.core import MAX_GRID_RESOLUTION, grid_points
 from bellband.errors import BellbandError
-from bellband.f4 import F4Candidate
+from bellband.f4 import BUILTIN_KINDS, F4Candidate
 
 
 def run(capsys, *args):
@@ -340,6 +340,30 @@ def test_cli_import_leaves_out_scipy_stats():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_analyze_runs_without_scipy(tmp_path):
+    # analyze draws its quasi-random points with numpy alone
+    grid = tmp_path / "grid.json"
+    grid.write_text(F4Candidate.from_grid(3, np.linspace(-1.0, 1.0, 27), name="g").to_json())
+    candidates = [["--candidate", kind] for kind in BUILTIN_KINDS]
+    candidates.append(["--candidate", "grid", "--candidate-file", str(grid)])
+    runs = [["analyze", *c, "--seed", str(s)] for c in candidates for s in (0, 2**64 - 1)]
+    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
+    outputs = []
+    for block in ("", "sys.modules['scipy'] = None\n"):
+        code = (
+            f"import json, sys\n{block}from bellband.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count('"command": "analyze"') == len(runs)
+    assert outputs[1] == outputs[0]
 
 
 class TestChsh:

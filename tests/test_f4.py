@@ -19,6 +19,7 @@ from bellband import (
     quadratic_fit,
     second_quotient,
 )
+from bellband.f4 import _halton
 
 DIAG = np.full(3, 1 / math.sqrt(3))
 
@@ -144,6 +145,53 @@ def test_halton_seed_outside_u64_rejected(probe, seed):
         probe(F4Candidate.product(), seed)
 
 
+class TestHalton:
+    SEEDS = [0, 1, 2, 7, 708, 2**32, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "draws", [(64, 800, 5000, 1), (1,), (2,), (3,), (5, 20), (25, 1), (125,)], ids=str
+    )
+    def test_matches_scipy_consecutive_draws(self, seed, draws):
+        # the draws cross the digit boundaries of bases 2, 3 and 5
+        qmc = pytest.importorskip("scipy.stats").qmc
+        engine = qmc.Halton(d=3, scramble=True, seed=seed)
+        expected = np.concatenate([engine.random(k) for k in draws])
+        points = _halton(seed, sum(draws))
+        assert points.shape == expected.shape
+        assert points.tobytes() == expected.tobytes()
+
+    # float.hex of the first three points; the sequence holds without scipy
+    @pytest.mark.parametrize(
+        "seed, first",
+        [
+            (0, [
+                ["0x1.9600b82ecb948p-4", "0x1.b9a95a7ee723ap-5", "0x1.33feaf0d8d01bp-2"],
+                ["0x1.32c01705d9729p-1", "0x1.70efeafd43c79p-1", "0x1.66cc2453934dap-1"],
+                ["0x1.65802e0bb2e52p-2", "0x1.8c8a80a53239bp-2", "0x1.9cc7890300d35p-4"],
+            ]),
+            (2**64 - 1, [
+                ["0x1.23ce156f32db0p-2", "0x1.fd36ea7ee56bcp-1", "0x1.4cfc17fb04c5dp-1"],
+                ["0x1.91e70ab7996d8p-1", "0x1.4fc32a53202cdp-2", "0x1.9c8e4c7d19289p-5"],
+                ["0x1.1e70ab7996d80p-5", "0x1.528c3fd43ac12p-1", "0x1.005e965c6ff20p-2"],
+            ]),
+        ],
+    )
+    def test_first_points_pinned(self, seed, first):
+        assert [[x.hex() for x in row] for row in _halton(seed, 3).tolist()] == first
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_prefixes_hold_the_same_points(self, seed):
+        points = _halton(seed, 4097)
+        for n in (1, 2, 3, 4, 5, 9, 26, 125, 126, 4096):
+            assert _halton(seed, n).tobytes() == points[:n].tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_base_2_coordinates_are_distinct(self, seed):
+        # so at most one point is 0, which _cone_directions relies on
+        assert np.unique(_halton(seed, 4096)[:, 0]).size == 4096
+
+
 class TestGradientAtOrigin:
     @pytest.mark.parametrize("kind", ["product", "locality", "product-diagonal"])
     def test_builtin_gradients_vanish(self, kind):
@@ -176,6 +224,11 @@ class TestAxisDerivative:
             axis_derivative_check(F4Candidate.product(), 1e-6, 1)
         with pytest.raises(DomainError):
             axis_derivative_check(F4Candidate.product(), math.pi, 2)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
+    def test_step_validation(self, h):
+        with pytest.raises(DomainError, match="step must be positive"):
+            axis_derivative_check(F4Candidate.product(), 1.0, 1, h=h)
 
 
 class TestSecondQuotient:
