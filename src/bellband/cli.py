@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -202,82 +203,6 @@ def _write_table_csv(fh, rows) -> None:
         fh.write(out[out != 0])
 
 
-def _add_seed_out(parser):
-    parser.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
-    parser.add_argument("--out", required=True, help="output CSV path")
-
-
-def _add_triple(parser):
-    parser.add_argument("--theta1", type=float, required=True)
-    parser.add_argument("--theta2", type=float, required=True)
-    parser.add_argument("--theta3", type=float, required=True)
-
-
-def _add_candidate(parser):
-    parser.add_argument("--candidate", choices=(*BUILTIN_KINDS, "grid"), required=True)
-    parser.add_argument("--candidate-file", help="grid candidate JSON document")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bellband",
-        description="CHSH band and correlation-regularity toolkit",
-    )
-    parser.add_argument("--version", action="version", version=f"bellband {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="sample singlet outcome pairs")
-    p.add_argument("--theta", type=float, required=True, help="relative detector angle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", action="store_true")
-    _add_seed_out(p)
-
-    p = sub.add_parser("lhv", help="sample the local hidden-variable baseline")
-    p.add_argument("--theta-a", type=float, required=True)
-    p.add_argument("--theta-b", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", action="store_true")
-    _add_seed_out(p)
-
-    p = sub.add_parser("octet", help="sample the identified counterfactual quadruple")
-    _add_triple(p)
-    p.add_argument("--f", type=float, default=None, help="fourth moment (default: band midpoint)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", action="store_true")
-    _add_seed_out(p)
-
-    p = sub.add_parser("boole", help="check both Boole inequalities on a sequence CSV")
-    p.add_argument("--in", dest="infile", required=True, help="octet CSV (a_oo,b_oo,a_bo,b_ob)")
-
-    p = sub.add_parser("chsh", help="CHSH value of a candidate at a configuration")
-    _add_triple(p)
-    _add_candidate(p)
-    p.add_argument("--degrees", action="store_true")
-
-    p = sub.add_parser("band", help="feasible band endpoints at a configuration")
-    _add_triple(p)
-    p.add_argument("--degrees", action="store_true")
-
-    p = sub.add_parser("band-map", help="band endpoints over a uniform grid, as CSV")
-    p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("lp-band", help="LP oracle extremes for the fourth moment")
-    p.add_argument("--c1", type=float, required=True)
-    p.add_argument("--c2", type=float, required=True)
-    p.add_argument("--c3", type=float, required=True)
-
-    p = sub.add_parser("analyze", help="full regularity report for a candidate")
-    _add_candidate(p)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("scan", help="band and diagonal violations over a grid")
-    _add_candidate(p)
-    p.add_argument("--resolution", type=int, required=True)
-
-    return parser
-
-
 def _cmd_simulate(args) -> dict:
     theta = _angle(args, args.theta)
     a, b = sample_singlet_pairs(theta, args.n, args.seed)
@@ -387,28 +312,72 @@ def _cmd_scan(args) -> dict:
     }
 
 
+_REAL = {"type": float, "required": True}
+_INT = {"type": int, "required": True}
+#: each flag's add_argument keywords, whichever subcommands take it
+_FLAGS = {
+    "--theta": {**_REAL, "help": "relative detector angle"},
+    "--theta-a": _REAL,
+    "--theta-b": _REAL,
+    **{f"--theta{i}": _REAL for i in (1, 2, 3)},
+    "--f": {"type": float, "help": "fourth moment (default: band midpoint)"},
+    "--n": _INT,
+    "--degrees": {"action": "store_true"},
+    "--seed": {"type": int, "default": 0, "help": "64-bit unsigned RNG seed"},
+    "--out": {"required": True, "help": "output CSV path"},
+    "--in": {"dest": "infile", "required": True, "help": "octet CSV (a_oo,b_oo,a_bo,b_ob)"},
+    "--candidate": {"choices": (*BUILTIN_KINDS, "grid"), "required": True},
+    "--candidate-file": {"help": "grid candidate JSON document"},
+    "--resolution": _INT,
+    **{f"--c{i}": _REAL for i in (1, 2, 3)},
+}
+_TRIPLE = ("--theta1", "--theta2", "--theta3")
+_CANDIDATE = ("--candidate", "--candidate-file")
+#: subcommand -> (function, help, flags in usage order)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "lhv": _cmd_lhv,
-    "octet": _cmd_octet,
-    "boole": _cmd_boole,
-    "chsh": _cmd_chsh,
-    "band": _cmd_band,
-    "band-map": _cmd_band_map,
-    "lp-band": _cmd_lp_band,
-    "analyze": _cmd_analyze,
-    "scan": _cmd_scan,
+    "simulate": (_cmd_simulate, "sample singlet outcome pairs",
+                 ("--theta", "--n", "--degrees", "--seed", "--out")),
+    "lhv": (_cmd_lhv, "sample the local hidden-variable baseline",
+            ("--theta-a", "--theta-b", "--n", "--degrees", "--seed", "--out")),
+    "octet": (_cmd_octet, "sample the identified counterfactual quadruple",
+              (*_TRIPLE, "--f", "--n", "--degrees", "--seed", "--out")),
+    "boole": (_cmd_boole, "check both Boole inequalities on a sequence CSV", ("--in",)),
+    "chsh": (_cmd_chsh, "CHSH value of a candidate at a configuration",
+             (*_TRIPLE, *_CANDIDATE, "--degrees")),
+    "band": (_cmd_band, "feasible band endpoints at a configuration", (*_TRIPLE, "--degrees")),
+    "band-map": (_cmd_band_map, "band endpoints over a uniform grid, as CSV",
+                 ("--resolution", "--out")),
+    "lp-band": (_cmd_lp_band, "LP oracle extremes for the fourth moment",
+                ("--c1", "--c2", "--c3")),
+    "analyze": (_cmd_analyze, "full regularity report for a candidate", (*_CANDIDATE, "--seed")),
+    "scan": (_cmd_scan, "band and diagonal violations over a grid",
+             (*_CANDIDATE, "--resolution")),
 }
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: the grammar is fixed."""
+    parser = argparse.ArgumentParser(
+        prog="bellband",
+        description="CHSH band and correlation-regularity toolkit",
+    )
+    parser.add_argument("--version", action="version", version=f"bellband {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config = {
         k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None
     }
     try:
-        result = _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command][0](args)
     except (BellbandError, OSError, MemoryError) as exc:
         # numpy names the failed allocation; a bare MemoryError says nothing
         print(f"bellband: error: {str(exc) or 'out of memory'}", file=sys.stderr)

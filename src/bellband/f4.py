@@ -195,8 +195,9 @@ def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float
     """Absolute deviation of the central-difference partial derivative at
     t*e_i from the forced value sin(t)."""
     t, h = float(t), float(h)
-    if i not in (1, 2, 3):
-        raise DomainError(f"axis index must be 1, 2 or 3, got {i}")
+    # 1.0 == 1, and a float index fails inside numpy
+    if not isinstance(i, (int, np.integer)) or i not in (1, 2, 3):
+        raise DomainError(f"axis index must be the integer 1, 2 or 3, got {i!r}")
     if not h > 0.0:
         raise DomainError(f"step must be positive, got {h}")
     if not (h < t < math.pi - h):

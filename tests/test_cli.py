@@ -475,6 +475,40 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    """main parses every call with one parser, built on the first call."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_switch_and_default_do_not_carry_over(self, tmp_path, capsys):
+        out = tmp_path / "octet.csv"
+        code, text = run(capsys, "octet", "--theta1", 60, "--theta2", 90, "--theta3", 120,
+                         "--degrees", "--f", 0, "--n", 100, "--out", out)
+        assert code == 0
+        assert json.loads(text)["config"]["degrees"] is True
+        code, text = run(capsys, "octet", "--theta1", 1, "--theta2", 1.5, "--theta3", 2,
+                         "--n", 100, "--out", out)
+        assert code == 0
+        config = json.loads(text)["config"]
+        assert config["degrees"] is False and "f" not in config
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["band", "--theta1", "0"])
+        assert exc.value.code == 2
+        assert run(capsys, "band", "--theta1", 0, "--theta2", 0, "--theta3", 0)[0] == 0
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_the_table_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line.split()[0] for line in lines if line.startswith("  --")]
+        assert listed == list(cli._COMMANDS[command][2])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -555,6 +589,18 @@ def _fuzz_specs(grids, sequences, outputs) -> dict:
         "analyze": [*candidate, ("--seed", _SEEDS, False)],
         "scan": [*candidate, ("--resolution", _RESOLUTIONS, True)],
     }
+
+
+def test_fuzz_specs_follow_the_grammar(fuzz_paths):
+    # a flag added to the CLI cannot go unfuzzed
+    specs = _fuzz_specs(*fuzz_paths)
+    assert sorted(specs) == sorted(cli._COMMANDS)
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        assert [spec[0] for spec in specs[command]] == list(flags), command
+        for flag, values, required in specs[command]:
+            keywords = cli._FLAGS[flag]
+            assert required == keywords.get("required", False), (command, flag)
+            assert (values is None) == (keywords.get("action") == "store_true"), (command, flag)
 
 
 def _reject_constant(token):

@@ -214,7 +214,7 @@ class TestGradientAtOrigin:
 
 class TestAxisDerivative:
     @pytest.mark.parametrize("kind", ["product", "locality", "product-diagonal"])
-    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("i", [1, 2, 3, np.int64(1), np.int32(2), np.uint8(3)])
     def test_builtin_axis_derivatives(self, kind, i):
         residual = axis_derivative_check(F4Candidate.builtin(kind), math.pi / 3, i)
         assert residual <= 1e-4
@@ -229,6 +229,12 @@ class TestAxisDerivative:
     def test_step_validation(self, h):
         with pytest.raises(DomainError, match="step must be positive"):
             axis_derivative_check(F4Candidate.product(), 1.0, 1, h=h)
+
+    @pytest.mark.parametrize("i", [0, 4, -1, 1.0, 2.0, 3.0, np.float64(1.0), "1", None])
+    def test_axis_validation(self, i):
+        # 1.0 in (1, 2, 3) is true, but numpy cannot index with 1.0
+        with pytest.raises(DomainError, match="axis index"):
+            axis_derivative_check(F4Candidate.product(), 1.0, i)
 
 
 class TestSecondQuotient:
