@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import math
 import sys
 
@@ -28,14 +29,10 @@ from .sampling import (
 )
 
 
-def _format_number(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return repr(x)
-
-
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits."""
+    if isinstance(obj, float):
+        return format(obj, ".17g")
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -48,13 +45,9 @@ def dumps(obj, indent: int = 0) -> str:
         return "[" + ", ".join(dumps(v, indent) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_number(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 

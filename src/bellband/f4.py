@@ -97,7 +97,7 @@ class F4Candidate:
         return cls(kind="grid", name=name, grid_resolution=resolution, grid_values=values)
 
     @classmethod
-    def from_json(cls, text, name: str = "grid") -> "F4Candidate":
+    def from_json(cls, text) -> "F4Candidate":
         """Load a grid document from JSON text or its UTF-8 bytes."""
         try:
             doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -111,7 +111,7 @@ class F4Candidate:
         except KeyError as exc:
             raise GridFormatError(f"grid document is missing field {exc}") from exc
         # checked after from_grid's own checks, whose messages it keeps
-        candidate = cls.from_grid(resolution, values, name=str(doc.get("name", name)))
+        candidate = cls.from_grid(resolution, values, name=str(doc.get("name", "grid")))
         if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
             raise GridFormatError("grid values must be a flat list of JSON numbers")
         return candidate
@@ -351,10 +351,17 @@ def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> Quad
     return QuadraticFit(c0=float(coef[0]), c_lin=coef[1:4].copy(), c_quad=c_quad, residual=residual)
 
 
-def _cross_probe(candidate, i: int, j: int, x: float = 1e-2, ks=(2, 5, 10, 50)) -> float:
-    """Cross coefficient c_ij estimated along the (0, x, kx) probe
-    schedule via mixed second differences, extrapolated linearly in k."""
-    ks = np.asarray(ks, dtype=float)
+# the report's thresholds: fit residual, coefficient mismatch, quotient spread
+_RESIDUAL_MAX, _COEFF_TOL, _JUMP_MAX = 1e-8, 0.05, 0.05
+# the report's finite-difference step, and the cross probes' multiples k of it
+_STEP = 1e-2
+_CROSS_KS = np.array([2.0, 5.0, 10.0, 50.0])
+
+
+def _cross_probe(candidate, i: int, j: int) -> float:
+    """Cross coefficient c_ij from mixed second differences along the
+    (0, x, kx) schedule, x = _STEP, extrapolated linearly in k."""
+    ks, x = _CROSS_KS, _STEP
     # for each k the points x*e_i + k*x*e_j, x*e_i and k*x*e_j; then the origin
     steps = np.zeros((3, ks.size, 3))
     steps[[0, 1], :, i] = x
@@ -365,15 +372,6 @@ def _cross_probe(candidate, i: int, j: int, x: float = 1e-2, ks=(2, 5, 10, 50)) 
     design = np.column_stack([np.ones(ks.size), ks])
     coef, *_ = np.linalg.lstsq(design, estimates, rcond=None)
     return float(coef[0])
-
-
-@dataclass(frozen=True)
-class ReportTolerances:
-    """Thresholds used when assembling an analysis report."""
-
-    residual_max: float = 1e-8
-    coeff_tol: float = 0.05
-    jump_max: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -410,21 +408,17 @@ def _plain_dict(items) -> dict:
     return out
 
 
-def _diagonal_coeff(candidate, t: float = 1e-2) -> float:
+def _diagonal_coeff(candidate) -> float:
     """Total quadratic coefficient of the candidate along the diagonal,
-    from (F(t,t,t) + cos t)/t^2 with Richardson extrapolation."""
-    s = np.array([t / 2.0, t])
+    from (F(t,t,t) + cos t)/t^2, t = _STEP, with Richardson extrapolation."""
+    s = np.array([_STEP / 2.0, _STEP])
     values = candidate.values(np.repeat(s[:, None], 3, axis=1))
     quotient = (values - singlet_correlation(s)) / (s * s)
     extrapolated = (4.0 * quotient[0] - quotient[1]) / 3.0
     return float(extrapolated + 0.5)
 
 
-def contradiction_report(
-    candidate,
-    tolerances: ReportTolerances = ReportTolerances(),
-    seed: int = 0,
-) -> AnalysisReport:
+def contradiction_report(candidate, seed: int = 0) -> AnalysisReport:
     """Assemble the full regularity report.
 
     The contradiction flag is raised when the fit residual certifies
@@ -432,7 +426,6 @@ def contradiction_report(
     is inconsistent: the axes force diagonal coefficients summing to 3/2
     with vanishing cross terms, yet the diagonal demands a total of 1/2.
     """
-    tol = tolerances
     value_at_origin = float(candidate.values(np.zeros((1, 3)))[0])
     grad = gradient_at_origin(candidate)
     axis_residuals = np.array(
@@ -444,21 +437,21 @@ def contradiction_report(
     axis_forced_sum = fit.diagonal_coeff_sum
     probes = [_cross_probe(candidate, i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
     cross_term_max = max(fit.max_cross_coeff, max(abs(p) for p in probes))
-    quotients = direction_quotients(candidate, t=1e-2, n_directions=32, seed=seed)
+    quotients = direction_quotients(candidate, t=_STEP, n_directions=32, seed=seed)
     second_quotient_bound = float(np.max(np.abs(quotients)))
     jump_spread = float(quotients.max() - quotients.min())
 
     # each test passes only on a number inside its tolerance, so NaN fails it
-    diagonal_ok = abs(diagonal_sum - 0.5) <= tol.coeff_tol
-    axis_ok = abs(axis_forced_sum - 1.5) <= tol.coeff_tol
+    diagonal_ok = abs(diagonal_sum - 0.5) <= _COEFF_TOL
+    axis_ok = abs(axis_forced_sum - 1.5) <= _COEFF_TOL
     tests = {
         "diagonal-constraint-violated": diagonal_ok,
         "axis-coefficients-off": axis_ok,
-        "directional-jump-detected": jump_spread <= tol.jump_max,
+        "directional-jump-detected": jump_spread <= _JUMP_MAX,
     }
     flags = [flag for flag, ok in tests.items() if not ok]
     contradiction = (
-        fit.residual <= tol.residual_max and axis_ok and cross_term_max <= tol.coeff_tol and diagonal_ok
+        fit.residual <= _RESIDUAL_MAX and axis_ok and cross_term_max <= _COEFF_TOL and diagonal_ok
     )
 
     disclaimer = None
@@ -498,16 +491,16 @@ class Violation:
     hi: float
 
 
-def inequality_scan(candidate, resolution: int, tol: float = BAND_TOL) -> list[Violation]:
+def inequality_scan(candidate, resolution: int) -> list[Violation]:
     """Scan the uniform resolution^3 grid over the positive cube for band
     violations, and the diagonal nodes for departures from -cos(theta)."""
     points = grid_points(resolution)
     values = candidate.values(points)
     lo, hi = band_limits(points)
     forced = singlet_correlation(points[:, 0])
-    band_bad = ~((lo - tol <= values) & (values <= hi + tol))
+    band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
     on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
-    diagonal_bad = on_diagonal & (np.abs(values - forced) > tol)
+    diagonal_bad = on_diagonal & (np.abs(values - forced) > BAND_TOL)
     violations = []
     for k in np.flatnonzero(band_bad | diagonal_bad):
         theta, value = tuple(points[k].tolist()), float(values[k])
