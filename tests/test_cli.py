@@ -463,6 +463,44 @@ class TestAnalyzeAndScan:
         assert len(captured.err.splitlines()) == 1
 
 
+class TestDumps:
+    """cli.dumps prints the Python types the commands return, and no other."""
+
+    def test_bytes_of_every_kept_type(self):
+        doc = {
+            "nested": {"inner": {"empty": {}}, "list": [1, {"k": "v"}]},
+            "empty": {},
+            "list": [0, 2**64 - 1],
+            "tuple": (True, False, None),
+            "floats": [-0.0, 5e-324, 1 / 3, 1e22, np.float64(0.1)],
+            "text": 'a "quote" and \u00e9',
+        }
+        assert cli.dumps(doc) == (
+            '{\n'
+            '  "nested": {\n'
+            '    "inner": {\n'
+            '      "empty": {}\n'
+            '    },\n'
+            '    "list": [1, {\n'
+            '      "k": "v"\n'
+            '    }]\n'
+            '  },\n'
+            '  "empty": {},\n'
+            '  "list": [0, 18446744073709551615],\n'
+            '  "tuple": [true, false, null],\n'
+            '  "floats": [-0, 4.9406564584124654e-324, 0.33333333333333331, 1e+22, '
+            '0.10000000000000001],\n'
+            '  "text": "a \\"quote\\" and \\u00e9"\n'
+            '}'
+        )
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), {1}],
+                             ids=["int64", "float32", "set"])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli.dumps({"value": [value]})
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,15 +1,19 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bellband
 from bellband import (
     AngleQuadruplet,
     AngleTriple,
     DomainError,
     JointDistribution2,
     ShapeError,
+    as_outcomes,
     empirical_correlation,
     reduce_angles,
     singlet_joint,
@@ -176,6 +180,18 @@ class TestEmpiricalCorrelation:
         with pytest.raises(DomainError):
             empirical_correlation([1.0, math.nan], [1, 1])
 
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            (np.ones((2, 2)), ShapeError, r"expected a 1-d sequence, got shape \(2, 2\)"),
+            (np.array(["1", "-1"]), DomainError, "outcomes must be numeric, got dtype <U2"),
+        ],
+        ids=["2-d", "strings"],
+    )
+    def test_as_outcomes_rejections(self, values, error, message):
+        with pytest.raises(error, match=message):
+            as_outcomes(values)
+
     @given(st.lists(st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])), min_size=1))
     def test_matches_direct_sum(self, pairs):
         u, v = (list(t) for t in zip(*pairs))
@@ -192,3 +208,15 @@ class TestEmpiricalCorrelation:
         assert empirical_correlation(v, u) == c
         assert empirical_correlation([-x for x in u], v) == -c
         assert -1.0 <= c <= 1.0
+
+
+def test_package_exports_what_it_imports():
+    # __all__ is written out by hand beside the imports that it lists
+    tree = ast.parse(Path(bellband.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = [name for name in bellband.__all__ if name != "__version__"]
+    assert sorted(imported) == sorted(exported)

@@ -19,9 +19,10 @@ from bellband import (
     quadratic_fit,
     second_quotient,
 )
-from bellband.f4 import _halton
+from bellband.f4 import _ball_points, _halton
 
 DIAG = np.full(3, 1 / math.sqrt(3))
+PRODUCT = F4Candidate.product()
 
 
 def constant_grid(value=-1.0, resolution=2, name="constant"):
@@ -127,6 +128,55 @@ class TestCandidates:
     def test_malformed_grid_documents(self, doc):
         with pytest.raises(GridFormatError):
             F4Candidate.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: F4Candidate(kind="product", name="p", grid_values=np.zeros(8)),
+                     "builtin candidate 'product' takes no grid", id="builtin-with-grid"),
+        pytest.param(lambda: F4Candidate(kind="cubic", name="c"),
+                     "unknown candidate kind 'cubic'", id="unknown-kind"),
+        pytest.param(lambda: F4Candidate.builtin("nope"),
+                     "unknown builtin candidate 'nope'", id="unknown-builtin"),
+        pytest.param(lambda: F4Candidate.product().to_json(),
+                     "only grid candidates serialize", id="builtin-to-json"),
+        pytest.param(lambda: F4Candidate.from_json('{"kind": "grid", "resolution": 2}'),
+                     "grid document is missing field 'values'", id="no-values"),
+    ],
+)
+def test_candidate_rejections(make, message):
+    with pytest.raises(GridFormatError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        *(pytest.param(lambda t=t: second_quotient(PRODUCT, DIAG, t),
+                       r"step must lie in \(0, 0.5\], got", id=f"quotient-step-{t}")
+          for t in (0.0, -1e-3, 0.6, math.nan)),
+        pytest.param(lambda: direction_quotients(PRODUCT, 0.7, 8),
+                     r"step must lie in \(0, 0.5\], got 0.7", id="directions-step"),
+        pytest.param(lambda: second_quotient(PRODUCT, (1.0, 1.0), 1e-3),
+                     r"direction must be a 3-vector, got shape \(2,\)", id="two-vector"),
+        pytest.param(lambda: second_quotient(PRODUCT, [DIAG], 1e-3),
+                     r"direction must be a 3-vector, got shape \(1, 3\)", id="row-vector"),
+        pytest.param(lambda: second_quotient(PRODUCT, (0.0, 0.0, 0.0), 1e-3),
+                     "direction must be nonzero", id="zero-direction"),
+        pytest.param(lambda: direction_quotients(PRODUCT, 1e-2, 7),
+                     "need at least 8 directions, got 7", id="seven-directions"),
+        *(pytest.param(lambda t=t: jump_measure(PRODUCT, t, 16),
+                       r"step must lie in \(0, 0.1\], got", id=f"jump-step-{t}")
+          for t in (0.0, 0.2, math.nan)),
+        *(pytest.param(lambda r=r: quadratic_fit(PRODUCT, r, 20),
+                       r"radius must lie in \(0, 0.3\], got", id=f"fit-radius-{r}")
+          for r in (0.0, -0.1, 0.31, math.nan)),
+    ],
+)
+def test_probe_domain_rejections(probe, message):
+    with pytest.raises(DomainError, match=message):
+        probe()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
@@ -288,6 +338,16 @@ class TestQuadraticFit:
     def test_underdetermined_rejected(self):
         with pytest.raises(DomainError):
             quadratic_fit(F4Candidate.product(), radius=0.1, samples=5, seed=0)
+
+    def test_ball_points_draw_past_their_first_prefix(self):
+        # none of the first 4 points of seed 111 is a nonzero point of the
+        # ball, so the first prefix of 4 * count points is not enough
+        radius = 0.1
+        draw = _halton(111, 64) * radius
+        norms = np.linalg.norm(draw, axis=1)
+        in_ball = np.flatnonzero((norms <= radius) & (norms > 0.0))
+        assert in_ball[0] >= 4
+        assert np.array_equal(_ball_points(radius, 1, 111), draw[in_ball[:1]])
 
 
 class TestJumpMeasure:
