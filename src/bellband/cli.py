@@ -25,7 +25,8 @@ from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlatio
 from .errors import BellbandError, DomainError
 from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
 from .sampling import (
-    JointDistribution4, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs,
+    CHUNK, JointDistribution4, OctetSequences, sample_lhv_pairs, sample_octet,
+    sample_singlet_pairs,
 )
 
 
@@ -86,7 +87,8 @@ def _candidate(args) -> F4Candidate:
 # A sequence file is a header line of column names joined by "," and then
 # rows of k cells, each exactly "+1" or "-1", joined by "," and ended by
 # "\n".  Every data row is k cells of exactly 3 bytes, so both directions
-# are array operations on an (n, k, 3) uint8 view of the rows.
+# are array operations on (m, k, 3) uint8 blocks of at most CHUNK rows,
+# which reuse their buffers from block to block.
 _COMMA = ord(",")
 
 
@@ -100,14 +102,18 @@ def _rows_template(n: int, k: int) -> np.ndarray:
 
 def _write_sequence_csv(path: str, columns: dict) -> None:
     """Write equal-length +/-1 columns as a sequence file."""
-    names = list(columns)
-    rows = _rows_template(len(columns[names[0]]), len(names))
-    for j, name in enumerate(names):
-        # "," - (+1) is "+" and "," - (-1) is "-"
-        np.subtract(_COMMA, columns[name], out=rows[:, j, 0], casting="unsafe")
+    names, values = list(columns), list(columns.values())
+    n = len(values[0])
+    template = _rows_template(min(CHUNK, n), len(names))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
-        fh.write(rows)
+        for start in range(0, n, CHUNK):
+            rows = template[:n - start]
+            for j, column in enumerate(values):
+                # "," - (+1) is "+" and "," - (-1) is "-"
+                np.subtract(_COMMA, column[start:start + CHUNK], out=rows[:, j, 0],
+                            casting="unsafe")
+            fh.write(rows)
 
 
 def _read_sequence_csv(path: str) -> dict:
@@ -117,34 +123,45 @@ def _read_sequence_csv(path: str) -> dict:
         data = fh.read()
     if not data:
         raise BellbandError(f"{path} is empty")
-    header, _, body = data.partition(b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    offset = data.index(b"\n") + 1
     try:
-        names = header.decode("utf-8").split(",")
+        names = data[:offset - 1].decode("utf-8").split(",")
     except UnicodeDecodeError as exc:
         raise BellbandError(f"{path} has a header that is not UTF-8: {exc}") from None
     if "" in names or len(set(names)) != len(names):
         raise BellbandError(f"{path} needs distinct, non-empty column names, got {names}")
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    k = len(names)
-    if len(body) % (3 * k):
+    k, size = len(names), len(data) - offset
+    if size % (3 * k):
         raise BellbandError(
-            f"{path} is not a table of +1/-1 cells: its {len(body)} bytes of rows "
+            f"{path} is not a table of +1/-1 cells: its {size} bytes of rows "
             f"are not a whole number of {k}-cell rows of 3 bytes a cell"
         )
-    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, k, 3)
-    # every byte is the template's, but a sign byte may also be "-"; the
-    # template is full size, as a broadcast compare loops per row
-    bad = rows != _rows_template(len(rows), k)
-    bad[:, :, 0] &= rows[:, :, 0] != ord("-")
-    if bad.any():
-        row, cell = np.argwhere(bad)[0, :2]
-        raise BellbandError(
-            f"{path} is not a table of +1/-1 cells: cell {rows[row, cell].tobytes()!r} "
-            f"on line {row + 2}, column {names[cell]!r}"
-        )
-    # "," - "+" is +1 and "," - "-" is -1; one contiguous row per column
-    values = np.subtract(_COMMA, rows[:, :, 0].T.view(np.int8), order="C")
+    rows = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(-1, k, 3)
+    n = len(rows)
+    template = _rows_template(min(CHUNK, n), k)
+    signs = template == ord("+")
+    bad_block, minus_block = np.empty_like(signs), np.empty_like(signs)
+    values = np.empty((k, n), dtype=np.int8)
+    for start in range(0, n, CHUNK):
+        block = rows[start:start + CHUNK]
+        m = len(block)
+        bad, minus = bad_block[:m], minus_block[:m]
+        # every byte is the template's, but a sign byte may also be "-",
+        # which differs from the template's "+" and so clears its bad bit
+        np.not_equal(block, template[:m], out=bad)
+        np.equal(block, ord("-"), out=minus)
+        minus &= signs[:m]
+        bad ^= minus
+        if bad.any():
+            row, cell = np.argwhere(bad)[0, :2]
+            raise BellbandError(
+                f"{path} is not a table of +1/-1 cells: cell {block[row, cell].tobytes()!r} "
+                f"on line {start + row + 2}, column {names[cell]!r}"
+            )
+        # "," - "+" is +1 and "," - "-" is -1
+        np.subtract(_COMMA, block[:, :, 0].T.view(np.int8), out=values[:, start:start + m])
     return dict(zip(names, values))
 
 

@@ -149,12 +149,14 @@ class JointDistribution4:
 
     @classmethod
     def point_mass(cls, pattern) -> "JointDistribution4":
-        pattern = tuple(int(x) for x in pattern)
-        rows = np.flatnonzero(np.all(cls.PATTERNS == np.array(pattern, dtype=np.int8), axis=1))
-        if rows.size != 1:
-            raise DomainError(f"not a +/-1 sign pattern: {pattern}")
+        try:
+            # ValueError: no row matches, as for a pattern of another length
+            # or shape; TypeError: not a sequence
+            index = list(map(tuple, cls.PATTERNS.tolist())).index(tuple(pattern))
+        except (TypeError, ValueError):
+            raise DomainError(f"not a +/-1 sign pattern: {pattern}") from None
         p = np.zeros(16)
-        p[rows[0]] = 1.0
+        p[index] = 1.0
         return cls(p)
 
     @classmethod

@@ -20,6 +20,7 @@ from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_c
 from bellband.core import MAX_GRID_RESOLUTION, grid_points
 from bellband.errors import BellbandError
 from bellband.f4 import BUILTIN_KINDS, F4Candidate
+from bellband.sampling import CHUNK
 
 
 def run(capsys, *args):
@@ -190,6 +191,10 @@ def _savetxt_reference(columns: dict) -> bytes:
     return buf.getvalue()
 
 
+def _random_signs(seed: int, shape) -> np.ndarray:
+    return np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), shape)
+
+
 class TestSequenceCodec:
     @given(
         st.integers(1, 5).flatmap(
@@ -213,6 +218,94 @@ class TestSequenceCodec:
         path.write_bytes(b"a,b\n")
         decoded = _read_sequence_csv(str(path))
         assert list(decoded) == ["a", "b"] and all(c.size == 0 for c in decoded.values())
+
+    @pytest.mark.parametrize("k", [1, 4, 5])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_matches_savetxt_and_round_trips_across_blocks(self, tmp_path, n, k):
+        path = tmp_path / "seq.csv"
+        data = _random_signs(n * 10 + k, (k, n))
+        columns = {f"c{j}": data[j] for j in range(k)}
+        _write_sequence_csv(str(path), columns)
+        assert path.read_bytes() == _savetxt_reference(columns)
+        decoded = _read_sequence_csv(str(path))
+        assert list(decoded) == list(columns)
+        np.testing.assert_array_equal(np.array(list(decoded.values())), data)
+
+    @pytest.mark.parametrize("n", [CHUNK, CHUNK + 1])
+    def test_without_final_newline_across_blocks(self, tmp_path, n):
+        path = tmp_path / "seq.csv"
+        data = _random_signs(n, (4, n))
+        _write_sequence_csv(str(path), {f"c{j}": data[j] for j in range(4)})
+        path.write_bytes(path.read_bytes()[:-1])
+        decoded = _read_sequence_csv(str(path))
+        np.testing.assert_array_equal(np.array(list(decoded.values())), data)
+
+    @pytest.mark.parametrize(
+        "edits, reported",
+        [
+            ([(0, 0, 1, "x")], (0, 0, b"+x,")),
+            ([(CHUNK - 1, 3, 2, "x")], (CHUNK - 1, 3, b"-1x")),
+            ([(CHUNK, 2, 0, "1")], (CHUNK, 2, b"11,")),
+            # the first bad cell of the file, not of the block or column seen first
+            ([(CHUNK - 1, 3, 1, "2"), (CHUNK, 0, 0, "x")], (CHUNK - 1, 3, b"-2\n")),
+            ([(2 * CHUNK + 1, 0, 0, "x"), (CHUNK + 3, 1, 2, ";")], (CHUNK + 3, 1, b"-1;")),
+        ],
+        ids=["row-0", "row-chunk-1", "row-chunk", "two-blocks", "two-blocks-later-first"],
+    )
+    def test_reports_the_first_bad_cell(self, tmp_path, capsys, edits, reported):
+        names = ["a_oo", "b_oo", "a_bo", "b_ob"]
+        text = bytearray(b"a_oo,b_oo,a_bo,b_ob\n" + b"+1,-1,+1,-1\n" * (2 * CHUNK + 3))
+        for row, cell, byte, char in edits:
+            text[20 + 12 * row + 3 * cell + byte] = ord(char)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        row, cell, got = reported
+        message = (f"{path} is not a table of +1/-1 cells: cell {got!r} "
+                   f"on line {row + 2}, column {names[cell]!r}")
+        with pytest.raises(BellbandError) as exc:
+            _read_sequence_csv(str(path))
+        assert str(exc.value) == message
+        assert main(["boole", "--in", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"bellband: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, size",
+        [
+            (b"a,b\n+1,-1\n+1\n", 9),
+            (b"a,b\n+1,-1\n+1", 9),  # the missing final newline is counted
+            (b"a,b\nx1,-1\n+1,-1,+1\n", 15),  # before any cell is checked
+        ],
+        ids=["ragged", "ragged-without-final-newline", "ragged-after-a-bad-cell"],
+    )
+    def test_length_error_counts_the_bytes_of_rows(self, tmp_path, text, size):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(BellbandError) as exc:
+            _read_sequence_csv(str(path))
+        assert str(exc.value) == (
+            f"{path} is not a table of +1/-1 cells: its {size} bytes of rows "
+            "are not a whole number of 2-cell rows of 3 bytes a cell"
+        )
+
+    def test_memory_stays_within_a_block(self, tmp_path):
+        # the writer holds one block of rows whatever n is; the reader holds
+        # the bytes it read, the columns and a few blocks of buffers
+        n, k = 10**6, 4
+        data = _random_signs(0, (k, n))
+        columns = {f"c{j}": data[j] for j in range(k)}
+        path = tmp_path / "seq.csv"
+        _write_sequence_csv(str(path), columns)
+        for call, bound in (
+            (lambda: _write_sequence_csv(os.devnull, columns), 2 * 2**20),
+            (lambda: _read_sequence_csv(str(path)), path.stat().st_size + k * n + 4 * 2**20),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 def _savetxt_table_reference(rows) -> bytes:

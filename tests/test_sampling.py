@@ -118,7 +118,10 @@ class TestJointDistribution4:
         assert d.moment(2, 3) == -1.0
         assert d.moment(0, 2) == 1.0
 
-    @pytest.mark.parametrize("pattern", [(1, 0, 1, 1), (2, 1, 1, 1)])
+    @pytest.mark.parametrize(
+        "pattern",
+        [(1, 0, 1, 1), (2, 1, 1, 1), (1, 1, 1), (1, 1, 1, 1, 1), [[1, 1], [1, 1]], np.ones((4, 2))],
+    )
     def test_point_mass_rejects_a_non_sign_pattern(self, pattern):
         with pytest.raises(DomainError, match=r"not a \+/-1 sign pattern"):
             JointDistribution4.point_mass(pattern)
