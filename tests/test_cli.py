@@ -249,8 +249,12 @@ class TestSequenceCodec:
             # the first bad cell of the file, not of the block or column seen first
             ([(CHUNK - 1, 3, 1, "2"), (CHUNK, 0, 0, "x")], (CHUNK - 1, 3, b"-2\n")),
             ([(2 * CHUNK + 1, 0, 0, "x"), (CHUNK + 3, 1, 2, ";")], (CHUNK + 3, 1, b"-1;")),
+            # "-" is good only as a sign byte
+            ([(CHUNK + 1, 0, 1, "-")], (CHUNK + 1, 0, b"+-,")),
+            ([(0, 3, 2, "-")], (0, 3, b"-1-")),
         ],
-        ids=["row-0", "row-chunk-1", "row-chunk", "two-blocks", "two-blocks-later-first"],
+        ids=["row-0", "row-chunk-1", "row-chunk", "two-blocks", "two-blocks-later-first",
+             "minus-as-digit", "minus-as-line-end"],
     )
     def test_reports_the_first_bad_cell(self, tmp_path, capsys, edits, reported):
         names = ["a_oo", "b_oo", "a_bo", "b_ob"]
