@@ -24,6 +24,17 @@ def _sides(c1: float, c2: float, c3: float, c4: float) -> tuple[float, float]:
     return abs(c1 + c2) + abs(c3 - c4), abs(c1 - c2) + abs(c3 + c4)
 
 
+def octet_correlations(a_oo, b_oo, a_bo, b_ob) -> dict:
+    """The empirical correlations c1, c2, c3 and f of an octet's four
+    equal-length +/-1 sequences, keyed and paired as in
+    ``JointDistribution4.CORRELATIONS``."""
+    seqs = (a_oo, b_oo, a_bo, b_ob)
+    return {
+        name: empirical_correlation(seqs[i], seqs[j])
+        for name, (i, j) in JointDistribution4.CORRELATIONS.items()
+    }
+
+
 def boole_check(u, x, v, y) -> BooleResult:
     """Evaluate both Boole inequalities on four equal-length +/-1 sequences.
 
@@ -31,11 +42,7 @@ def boole_check(u, x, v, y) -> BooleResult:
     swapped; both are <= 2 for any +/-1 sequences.
     """
     # (u, x, v, y) are the pattern columns, so the pairs are c1, c2, c3, f
-    seqs = (u, x, v, y)
-    ux, vx, uy, vy = (
-        empirical_correlation(seqs[i], seqs[j]) for i, j in JointDistribution4.CORRELATIONS.values()
-    )
-    lhs1, lhs2 = _sides(ux, vx, uy, vy)
+    lhs1, lhs2 = _sides(*octet_correlations(u, x, v, y).values())
     return BooleResult(lhs1, lhs2, max(lhs1, lhs2) <= 2.0 + ROUND_TOL)
 
 

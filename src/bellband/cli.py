@@ -20,14 +20,13 @@ import numpy as np
 
 from . import __version__
 from .band import band_map, feasible_band, feasible_distribution, lp_band
-from .chsh import boole_check, chsh_value, correlations_from_angles, polytope_member
+from .chsh import (
+    boole_check, chsh_value, correlations_from_angles, octet_correlations, polytope_member,
+)
 from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
 from .errors import BellbandError, DomainError
 from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
-from .sampling import (
-    CHUNK, JointDistribution4, OctetSequences, sample_lhv_pairs, sample_octet,
-    sample_singlet_pairs,
-)
+from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -213,15 +212,21 @@ def _write_table_csv(fh, rows) -> None:
         fh.write(out[out != 0])
 
 
-def _cmd_simulate(args) -> dict:
-    theta = _angle(args, args.theta)
-    a, b = sample_singlet_pairs(theta, args.n, args.seed)
+def _pair_report(args, pairs: tuple, expected: float) -> dict:
+    """Write sampled columns (a, b) to ``--out`` and report their
+    correlation beside the model's ``expected`` one."""
+    a, b = pairs
     _write_sequence_csv(args.out, {"a": a, "b": b})
     return {
         "out": args.out,
         "empirical_correlation": empirical_correlation(a, b),
-        "expected_correlation": twisted_malus(theta),
+        "expected_correlation": expected,
     }
+
+
+def _cmd_simulate(args) -> dict:
+    theta = _angle(args, args.theta)
+    return _pair_report(args, sample_singlet_pairs(theta, args.n, args.seed), twisted_malus(theta))
 
 
 def _cmd_lhv(args) -> dict:
@@ -229,16 +234,11 @@ def _cmd_lhv(args) -> dict:
     # checked before the draws; the sampler itself rejects a nan or inf angle
     if math.isfinite(ta) and math.isfinite(tb) and not math.isfinite(ta - tb):
         raise DomainError(f"the angle gap {ta} - {tb} overflows a float")
-    a, b = sample_lhv_pairs(ta, tb, args.n, args.seed)
+    pairs = sample_lhv_pairs(ta, tb, args.n, args.seed)
     # circular gap in [0, pi]; fmod is exact, so gaps up to pi keep every bit
     gap = math.fmod(abs(ta - tb), TWO_PI)
     gap = min(gap, TWO_PI - gap)
-    _write_sequence_csv(args.out, {"a": a, "b": b})
-    return {
-        "out": args.out,
-        "empirical_correlation": empirical_correlation(a, b),
-        "expected_correlation": -1.0 + 2.0 * gap / math.pi,
-    }
+    return _pair_report(args, pairs, -1.0 + 2.0 * gap / math.pi)
 
 
 def _cmd_octet(args) -> dict:
@@ -250,14 +250,10 @@ def _cmd_octet(args) -> dict:
     # the fields (a_oo, b_oo, a_bo, b_ob) in the order of the pattern columns
     columns = vars(sample_octet(dist, args.n, args.seed))
     _write_sequence_csv(args.out, columns)
-    seqs = list(columns.values())
     return {
         "out": args.out,
         "targets": {"c1": c1, "c2": c2, "c3": c3, "f": f},
-        "empirical": {
-            name: empirical_correlation(seqs[i], seqs[j])
-            for name, (i, j) in JointDistribution4.CORRELATIONS.items()
-        },
+        "empirical": octet_correlations(*columns.values()),
     }
 
 

@@ -151,6 +151,17 @@ def reduce_angles(q: AngleQuadruplet) -> AngleTriple:
     return AngleTriple(*wrapped)
 
 
+def _check_probabilities(p: np.ndarray) -> None:
+    """Reject a probability vector with an entry below -ROUND_TOL or a sum
+    more than ROUND_TOL from 1; written so that NaN fails it too."""
+    low = p.min()
+    if low < -ROUND_TOL:
+        raise DomainError(f"negative probability {low}")
+    total = p.sum()
+    if not abs(total - 1.0) <= ROUND_TOL:
+        raise DomainError(f"probabilities sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class JointDistribution2:
     """Joint outcome distribution of one measured pair: probabilities of
@@ -162,12 +173,8 @@ class JointDistribution2:
     p_mm: float
 
     def __post_init__(self):
-        p = self.as_array()
-        if np.any(p < -ROUND_TOL):
-            raise DomainError(f"negative probability in {p}")
-        # the sum and marginal tests are written so that NaN fails them
-        if not abs(p.sum() - 1.0) <= ROUND_TOL:
-            raise DomainError(f"probabilities sum to {p.sum()}, not 1")
+        _check_probabilities(self.as_array())
+        # written so that NaN fails it too
         marginals = (self.p_pp + self.p_pm, self.p_pp + self.p_mp)
         if not all(abs(m - 0.5) <= ROUND_TOL for m in marginals):
             raise DomainError("marginals are not uniform")

@@ -75,18 +75,6 @@ class F4Candidate:
         object.__setattr__(self, "grid_values", values)
 
     @classmethod
-    def locality(cls) -> "F4Candidate":
-        return cls(kind="locality", name="locality")
-
-    @classmethod
-    def product(cls) -> "F4Candidate":
-        return cls(kind="product", name="product")
-
-    @classmethod
-    def product_diagonal(cls) -> "F4Candidate":
-        return cls(kind="product-diagonal", name="product-diagonal")
-
-    @classmethod
     def builtin(cls, kind: str) -> "F4Candidate":
         if kind not in BUILTIN_KINDS:
             raise GridFormatError(f"unknown builtin candidate {kind!r}")
@@ -171,10 +159,6 @@ class F4Candidate:
 
     def evaluate(self, theta: AngleTriple) -> float:
         return float(self.values(theta.as_array()))
-
-
-def builtins() -> dict[str, F4Candidate]:
-    return {kind: F4Candidate.builtin(kind) for kind in BUILTIN_KINDS}
 
 
 def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:

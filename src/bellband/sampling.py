@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROUND_TOL, singlet_joint
+from .core import _check_probabilities, singlet_joint
 from .errors import DomainError, ShapeError
 
 #: draws per sub-seeded chunk
@@ -126,12 +126,7 @@ class JointDistribution4:
         p = np.array(self.p, dtype=float)
         if p.shape != (16,):
             raise ShapeError(f"expected 16 probabilities, got shape {p.shape}")
-        if p.min() < -ROUND_TOL:
-            raise DomainError("negative probability entry")
-        total = p.sum()
-        # written so that NaN fails it too
-        if not abs(total - 1.0) <= ROUND_TOL:
-            raise DomainError(f"probabilities sum to {total}, not 1")
+        _check_probabilities(p)
         np.maximum(p, 0.0, out=p)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)

@@ -12,7 +12,6 @@ from bellband import (
     F4Candidate,
     axis_derivative_check,
     boole_check,
-    builtins,
     contradiction_report,
     correlations_from_angles,
     chsh_value,
@@ -24,6 +23,7 @@ from bellband import (
     polytope_member,
 )
 from bellband.cli import main
+from bellband.f4 import BUILTIN_KINDS
 
 
 def _report(n, text):
@@ -51,7 +51,7 @@ def test_criterion_1_band_corner():
 
 
 def test_criterion_2_axis_forcing():
-    candidate = F4Candidate.product_diagonal()
+    candidate = F4Candidate.builtin("product-diagonal")
     for t in np.linspace(0.01, math.pi - 0.01, 50):
         band = feasible_band(AngleTriple(t, 0, 0))
         assert abs(band.lo + math.cos(t)) <= 1e-12
@@ -62,7 +62,7 @@ def test_criterion_2_axis_forcing():
 
 def test_criterion_3_bell_violation():
     theta = AngleTriple(3 * math.pi / 4, math.pi / 4, math.pi / 4)
-    vector = correlations_from_angles(theta, F4Candidate.locality())
+    vector = correlations_from_angles(theta, F4Candidate.builtin("locality"))
     assert abs(chsh_value(vector) - 2 * math.sqrt(2)) <= 1e-12
     assert polytope_member(vector) is False
     _report(3, "locality candidate reaches 2*sqrt(2) and leaves the polytope")
@@ -119,7 +119,8 @@ def test_criterion_6_monte_carlo_fidelity(tmp_path, capsys):
 
 def test_criterion_7_gradient_of_clean_candidates():
     checked = []
-    for name, candidate in builtins().items():
+    for name in BUILTIN_KINDS:
+        candidate = F4Candidate.builtin(name)
         if inequality_scan(candidate, 15):
             continue
         assert np.linalg.norm(gradient_at_origin(candidate)) <= 1e-6
@@ -138,7 +139,7 @@ def _passes_all_three(candidate, scan_resolution):
 
 
 def test_criterion_8_mutual_exclusion():
-    for candidate in builtins().values():
+    for candidate in map(F4Candidate.builtin, BUILTIN_KINDS):
         assert not _passes_all_three(candidate, scan_resolution=15)
     for seed in range(100):
         candidate = _fuzz_grid(4, seed=seed, force_diagonal=seed % 2 == 0)
@@ -147,7 +148,7 @@ def test_criterion_8_mutual_exclusion():
 
 
 def test_criterion_9_escape_route():
-    candidate = F4Candidate.product_diagonal()
+    candidate = F4Candidate.builtin("product-diagonal")
     assert inequality_scan(candidate, 25) == []
     spread = jump_measure(candidate, t=1e-2, n_directions=32)
     assert abs(spread - 1 / 3) <= 0.05

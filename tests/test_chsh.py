@@ -10,13 +10,16 @@ from bellband import (
     CorrelationVector,
     DomainError,
     F4Candidate,
+    JointDistribution4,
     ShapeError,
     boole_check,
     chsh_value,
     correlations_from_angles,
+    empirical_correlation,
     feasible_band,
     polytope_member,
 )
+from bellband.chsh import octet_correlations
 
 SQRT2_HALF = math.sqrt(2) / 2
 
@@ -47,6 +50,28 @@ class TestBooleCheck:
         rng = np.random.default_rng(seed)
         u, x, v, y = rng.integers(0, 2, size=(4, n)) * 2 - 1
         assert boole_check(u, x, v, y).holds
+
+
+class TestOctetCorrelations:
+    @given(st.integers(1, 60), st.integers(0, 2**32))
+    def test_the_four_pairs_in_correlations_order(self, n, seed):
+        a_oo, b_oo, a_bo, b_ob = np.random.default_rng(seed).integers(0, 2, size=(4, n)) * 2 - 1
+        result = octet_correlations(a_oo, b_oo, a_bo, b_ob)
+        assert list(result) == list(JointDistribution4.CORRELATIONS) == ["c1", "c2", "c3", "f"]
+        expected = [
+            empirical_correlation(a_oo, b_oo),
+            empirical_correlation(a_bo, b_oo),
+            empirical_correlation(a_oo, b_ob),
+            empirical_correlation(a_bo, b_ob),
+        ]
+        assert np.array(list(result.values())).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("short", range(4))
+    def test_length_mismatch(self, short):
+        seqs = [[1, -1, 1]] * 4
+        seqs[short] = [1, -1]
+        with pytest.raises(ShapeError, match="length mismatch"):
+            octet_correlations(*seqs)
 
 
 class TestChshValue:
@@ -86,18 +111,18 @@ class TestPolytopeMember:
 
 class TestCorrelationsFromAngles:
     def test_origin(self):
-        c = correlations_from_angles(AngleTriple(0, 0, 0), F4Candidate.product())
+        c = correlations_from_angles(AngleTriple(0, 0, 0), F4Candidate.builtin("product"))
         assert (c.c1, c.c2, c.c3, c.c4) == (-1.0, -1.0, -1.0, -1.0)
 
     def test_symmetric_point_with_locality(self):
         t = math.pi / 2
-        c = correlations_from_angles(AngleTriple(t, t, t), F4Candidate.locality())
+        c = correlations_from_angles(AngleTriple(t, t, t), F4Candidate.builtin("locality"))
         for comp in (c.c1, c.c2, c.c3, c.c4):
             assert comp == pytest.approx(0.0, abs=1e-12)
 
     def test_tsirelson_angles_with_locality(self):
         theta = AngleTriple(3 * math.pi / 4, math.pi / 4, math.pi / 4)
-        c = correlations_from_angles(theta, F4Candidate.locality())
+        c = correlations_from_angles(theta, F4Candidate.builtin("locality"))
         assert c.c1 == pytest.approx(SQRT2_HALF, abs=1e-12)
         assert c.c2 == pytest.approx(-SQRT2_HALF, abs=1e-12)
         assert c.c3 == pytest.approx(-SQRT2_HALF, abs=1e-12)
@@ -106,7 +131,7 @@ class TestCorrelationsFromAngles:
 
     def test_rejects_outside_cube(self):
         with pytest.raises(DomainError):
-            correlations_from_angles(AngleTriple(-0.5, 0, 0), F4Candidate.product())
+            correlations_from_angles(AngleTriple(-0.5, 0, 0), F4Candidate.builtin("product"))
 
 
 class TestMembershipMatchesBand:

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import bellband
 from bellband import __version__, band_map, cli
+from bellband.chsh import octet_correlations
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
 from bellband.core import MAX_GRID_RESOLUTION, grid_points
 from bellband.errors import BellbandError
@@ -127,6 +128,15 @@ class TestOctetAndBoole:
         boole = run_report(capsys, "boole", "--in", out)
         assert boole["holds"] is True
         assert boole["lhs1"] <= 2 + 1e-12 and boole["lhs2"] <= 2 + 1e-12
+
+    def test_octet_reports_the_correlations_of_its_file(self, tmp_path, capsys):
+        out = tmp_path / "octet.csv"
+        result = run_report(
+            capsys,
+            "octet", "--theta1", 1, "--theta2", 2, "--theta3", 0.5, "--n", CHUNK + 3,
+            "--seed", 11, "--out", out,
+        )
+        assert result["empirical"] == octet_correlations(*_read_sequence_csv(str(out)).values())
 
     def test_boole_missing_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -687,7 +697,7 @@ _CANDIDATES = ["product", "locality", "product-diagonal", "grid", "other"]
 def fuzz_paths(tmp_path_factory):
     """Files for the argv fuzz: inputs good and bad, and places to write."""
     root = tmp_path_factory.mktemp("fuzz")
-    grid = F4Candidate.from_grid(3, F4Candidate.product().values(grid_points(3))).to_json()
+    grid = F4Candidate.from_grid(3, F4Candidate.builtin("product").values(grid_points(3))).to_json()
     files = {
         "grid.json": grid,
         "truncated.json": grid[: len(grid) // 2],

@@ -152,6 +152,15 @@ class TestSingletJoint:
         with pytest.raises(DomainError, match="marginals are not uniform"):
             JointDistribution2(0.5, 0.25, 0.25, 0.0)
 
+    def test_probability_messages_are_one_line(self):
+        # the same check as JointDistribution4's, with its 16 entries
+        with pytest.raises(DomainError) as negative:
+            JointDistribution2(-0.5, 1.0, 0.5, 0.0)
+        with pytest.raises(DomainError) as total:
+            JointDistribution2(0.5, 0.5, 0.5, 0.0)
+        assert str(negative.value) == "negative probability -0.5"
+        assert str(total.value) == "probabilities sum to 1.5, not 1"
+
 
 class TestEmpiricalCorrelation:
     def test_identical(self):
@@ -220,3 +229,4 @@ def test_package_exports_what_it_imports():
     ]
     exported = [name for name in bellband.__all__ if name != "__version__"]
     assert sorted(imported) == sorted(exported)
+

@@ -22,7 +22,7 @@ from bellband import (
 from bellband.f4 import _ball_points, _halton
 
 DIAG = np.full(3, 1 / math.sqrt(3))
-PRODUCT = F4Candidate.product()
+PRODUCT = F4Candidate.builtin("product")
 
 
 def constant_grid(value=-1.0, resolution=2, name="constant"):
@@ -59,27 +59,27 @@ class SyntheticSmooth:
 
 class TestCandidates:
     def test_product_at_origin(self):
-        assert F4Candidate.product().evaluate(AngleTriple(0, 0, 0)) == -1.0
+        assert F4Candidate.builtin("product").evaluate(AngleTriple(0, 0, 0)) == -1.0
 
     def test_locality_value(self):
         theta = AngleTriple(3 * math.pi / 4, math.pi / 4, math.pi / 4)
-        assert F4Candidate.locality().evaluate(theta) == pytest.approx(
+        assert F4Candidate.builtin("locality").evaluate(theta) == pytest.approx(
             -math.sqrt(2) / 2, abs=1e-15
         )
 
     def test_product_diagonal_on_diagonal(self):
         t = math.pi / 3
-        value = F4Candidate.product_diagonal().evaluate(AngleTriple(t, t, t))
+        value = F4Candidate.builtin("product-diagonal").evaluate(AngleTriple(t, t, t))
         assert value == pytest.approx(-0.5, abs=1e-15)
 
     def test_product_diagonal_off_diagonal(self):
         theta = AngleTriple(0.5, 0.5, 0.6)
         expected = -math.cos(0.5) ** 2 * math.cos(0.6)
-        assert F4Candidate.product_diagonal().evaluate(theta) == pytest.approx(expected)
+        assert F4Candidate.builtin("product-diagonal").evaluate(theta) == pytest.approx(expected)
 
     def test_rejects_outside_cube(self):
         with pytest.raises(DomainError):
-            F4Candidate.product().evaluate(AngleTriple(-0.1, 0, 0))
+            F4Candidate.builtin("product").evaluate(AngleTriple(-0.1, 0, 0))
 
     def test_grid_interpolates_nodes(self):
         grid = banded_grid(4, seed=0)
@@ -100,8 +100,9 @@ class TestCandidates:
         clone = F4Candidate.from_json(grid.to_json())
         assert clone == grid and hash(clone) == hash(grid)
         assert banded_grid(3, seed=2) != grid
-        assert F4Candidate.product() == F4Candidate.builtin("product")
-        assert len({F4Candidate.product(), F4Candidate.locality(), F4Candidate.product()}) == 2
+        assert F4Candidate.builtin("product") == F4Candidate.builtin("product")
+        kinds = ("product", "locality", "product")
+        assert len({F4Candidate.builtin(kind) for kind in kinds}) == 2
 
     @pytest.mark.parametrize(
         "doc",
@@ -139,7 +140,7 @@ class TestCandidates:
                      "unknown candidate kind 'cubic'", id="unknown-kind"),
         pytest.param(lambda: F4Candidate.builtin("nope"),
                      "unknown builtin candidate 'nope'", id="unknown-builtin"),
-        pytest.param(lambda: F4Candidate.product().to_json(),
+        pytest.param(lambda: F4Candidate.builtin("product").to_json(),
                      "only grid candidates serialize", id="builtin-to-json"),
         pytest.param(lambda: F4Candidate.from_json('{"kind": "grid", "resolution": 2}'),
                      "grid document is missing field 'values'", id="no-values"),
@@ -192,7 +193,7 @@ def test_probe_domain_rejections(probe, message):
 )
 def test_halton_seed_outside_u64_rejected(probe, seed):
     with pytest.raises(DomainError, match="unsigned 64-bit integer"):
-        probe(F4Candidate.product(), seed)
+        probe(F4Candidate.builtin("product"), seed)
 
 
 class TestHalton:
@@ -250,9 +251,9 @@ class TestGradientAtOrigin:
 
     def test_step_validation(self):
         with pytest.raises(DomainError):
-            gradient_at_origin(F4Candidate.product(), h=0.2)
+            gradient_at_origin(F4Candidate.builtin("product"), h=0.2)
         with pytest.raises(DomainError):
-            gradient_at_origin(F4Candidate.product(), h=0.0)
+            gradient_at_origin(F4Candidate.builtin("product"), h=0.0)
 
     def test_banded_grid_gradient_is_step_bounded(self):
         # zero-violation grid candidates: gradient norm stays within 10*h
@@ -271,54 +272,54 @@ class TestAxisDerivative:
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
-            axis_derivative_check(F4Candidate.product(), 1e-6, 1)
+            axis_derivative_check(F4Candidate.builtin("product"), 1e-6, 1)
         with pytest.raises(DomainError):
-            axis_derivative_check(F4Candidate.product(), math.pi, 2)
+            axis_derivative_check(F4Candidate.builtin("product"), math.pi, 2)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
     def test_step_validation(self, h):
         with pytest.raises(DomainError, match="step must be positive"):
-            axis_derivative_check(F4Candidate.product(), 1.0, 1, h=h)
+            axis_derivative_check(F4Candidate.builtin("product"), 1.0, 1, h=h)
 
     @pytest.mark.parametrize("i", [0, 4, -1, 1.0, 2.0, 3.0, np.float64(1.0), "1", None])
     def test_axis_validation(self, i):
         # 1.0 in (1, 2, 3) is true, but numpy cannot index with 1.0
         with pytest.raises(DomainError, match="axis index"):
-            axis_derivative_check(F4Candidate.product(), 1.0, i)
+            axis_derivative_check(F4Candidate.builtin("product"), 1.0, i)
 
 
 class TestSecondQuotient:
     def test_product_axis(self):
-        q = second_quotient(F4Candidate.product(), (1, 0, 0), 1e-3)
+        q = second_quotient(F4Candidate.builtin("product"), (1, 0, 0), 1e-3)
         assert q == pytest.approx(0.5, abs=1e-3)
 
     def test_product_diagonal_direction(self):
-        q = second_quotient(F4Candidate.product(), DIAG, 1e-3)
+        q = second_quotient(F4Candidate.builtin("product"), DIAG, 1e-3)
         assert q == pytest.approx(0.5, abs=1e-3)
 
     def test_piecewise_diagonal_limit(self):
-        q = second_quotient(F4Candidate.product_diagonal(), DIAG, 1e-3)
+        q = second_quotient(F4Candidate.builtin("product-diagonal"), DIAG, 1e-3)
         assert q == pytest.approx(1 / 6, abs=1e-3)
 
     def test_negative_direction_rejected(self):
         with pytest.raises(DomainError):
-            second_quotient(F4Candidate.product(), (1, -0.2, 0), 1e-3)
+            second_quotient(F4Candidate.builtin("product"), (1, -0.2, 0), 1e-3)
 
 
 class TestQuadraticFit:
     def test_product_coefficients(self):
-        fit = quadratic_fit(F4Candidate.product(), radius=0.1, samples=200, seed=0)
+        fit = quadratic_fit(F4Candidate.builtin("product"), radius=0.1, samples=200, seed=0)
         assert fit.c0 == pytest.approx(-1.0, abs=1e-3)
         assert fit.c_lin == pytest.approx(np.zeros(3), abs=1e-3)
         # quartic bias at radius 0.1 leaves the diagonal coefficients a
         # hair over 1e-3 from 1/2; a smaller radius recovers it
         assert np.diag(fit.c_quad) == pytest.approx(np.full(3, 0.5), abs=2e-3)
         assert fit.max_cross_coeff <= 2e-3
-        small = quadratic_fit(F4Candidate.product(), radius=0.05, samples=200, seed=0)
+        small = quadratic_fit(F4Candidate.builtin("product"), radius=0.05, samples=200, seed=0)
         assert np.diag(small.c_quad) == pytest.approx(np.full(3, 0.5), abs=1e-3)
 
     def test_locality_cross_terms(self):
-        fit = quadratic_fit(F4Candidate.locality(), radius=0.1, samples=200, seed=0)
+        fit = quadratic_fit(F4Candidate.builtin("locality"), radius=0.1, samples=200, seed=0)
         assert np.diag(fit.c_quad) == pytest.approx(np.full(3, 0.5), abs=2e-3)
         assert fit.c_quad[1, 2] == pytest.approx(1.0, abs=2e-3)
         assert fit.c_quad[0, 1] == pytest.approx(-1.0, abs=2e-3)
@@ -331,13 +332,13 @@ class TestQuadraticFit:
         assert np.abs(fit.c_quad).max() <= 1e-9
 
     def test_deterministic(self):
-        a = quadratic_fit(F4Candidate.product(), radius=0.1, samples=100, seed=5)
-        b = quadratic_fit(F4Candidate.product(), radius=0.1, samples=100, seed=5)
+        a = quadratic_fit(F4Candidate.builtin("product"), radius=0.1, samples=100, seed=5)
+        b = quadratic_fit(F4Candidate.builtin("product"), radius=0.1, samples=100, seed=5)
         assert a.c0 == b.c0 and np.array_equal(a.c_quad, b.c_quad)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DomainError):
-            quadratic_fit(F4Candidate.product(), radius=0.1, samples=5, seed=0)
+            quadratic_fit(F4Candidate.builtin("product"), radius=0.1, samples=5, seed=0)
 
     def test_ball_points_draw_past_their_first_prefix(self):
         # none of the first 4 points of seed 111 is a nonzero point of the
@@ -352,10 +353,10 @@ class TestQuadraticFit:
 
 class TestJumpMeasure:
     def test_product_is_isotropic(self):
-        assert jump_measure(F4Candidate.product(), 1e-2, 16) <= 1e-3
+        assert jump_measure(F4Candidate.builtin("product"), 1e-2, 16) <= 1e-3
 
     def test_piecewise_jump_is_one_third(self):
-        spread = jump_measure(F4Candidate.product_diagonal(), 1e-2, 16)
+        spread = jump_measure(F4Candidate.builtin("product-diagonal"), 1e-2, 16)
         assert spread == pytest.approx(1 / 3, abs=0.05)
 
     def test_constant_grid_has_no_jump(self):
@@ -364,10 +365,10 @@ class TestJumpMeasure:
 
 class TestInequalityScan:
     def test_product_diagonal_is_clean(self):
-        assert inequality_scan(F4Candidate.product_diagonal(), 15) == []
+        assert inequality_scan(F4Candidate.builtin("product-diagonal"), 15) == []
 
     def test_locality_violates_at_tsirelson_cell(self):
-        violations = inequality_scan(F4Candidate.locality(), 25)
+        violations = inequality_scan(F4Candidate.builtin("locality"), 25)
         assert violations
         target = (3 * math.pi / 4, math.pi / 4, math.pi / 4)
         assert any(
@@ -384,13 +385,13 @@ class TestInequalityScan:
         )
 
     def test_product_violates_diagonal_only(self):
-        violations = inequality_scan(F4Candidate.product(), 9)
+        violations = inequality_scan(F4Candidate.builtin("product"), 9)
         assert violations
         assert all(v.kind == "diagonal" for v in violations)
 
     def test_sandwich_bound_for_clean_candidates(self):
         # |F + 1| <= 3 - cos t1 - cos t2 - cos t3 wherever the scan is clean
-        candidate = F4Candidate.product_diagonal()
+        candidate = F4Candidate.builtin("product-diagonal")
         axis = np.linspace(0, math.pi, 9)
         for t1 in axis:
             for t2 in axis:
@@ -400,7 +401,7 @@ class TestInequalityScan:
                     assert abs(value + 1) <= bound + 1e-9
 
     def test_axis_forcing_for_clean_candidates(self):
-        candidate = F4Candidate.product_diagonal()
+        candidate = F4Candidate.builtin("product-diagonal")
         for t in np.linspace(0, math.pi, 9):
             for theta in (AngleTriple(t, 0, 0), AngleTriple(0, t, 0), AngleTriple(0, 0, t)):
                 assert abs(candidate.evaluate(theta) + math.cos(t)) <= 1e-9
@@ -408,7 +409,7 @@ class TestInequalityScan:
 
 class TestContradictionReport:
     def test_piecewise_candidate_escapes_via_jump(self):
-        report = contradiction_report(F4Candidate.product_diagonal())
+        report = contradiction_report(F4Candidate.builtin("product-diagonal"))
         assert not report.contradiction
         assert "directional-jump-detected" in report.flags
         assert report.jump_spread == pytest.approx(1 / 3, abs=0.05)
@@ -416,7 +417,7 @@ class TestContradictionReport:
         assert report.axis_forced_sum == pytest.approx(1.5, abs=0.01)
 
     def test_product_violates_diagonal_constraint(self):
-        report = contradiction_report(F4Candidate.product())
+        report = contradiction_report(F4Candidate.builtin("product"))
         assert not report.contradiction
         assert "diagonal-constraint-violated" in report.flags
         assert report.diagonal_sum == pytest.approx(1.5, abs=0.01)
@@ -448,6 +449,6 @@ class TestContradictionReport:
         assert report.disclaimer is not None
 
     def test_report_serializes(self):
-        doc = contradiction_report(F4Candidate.product()).to_dict()
+        doc = contradiction_report(F4Candidate.builtin("product")).to_dict()
         text = json.dumps(doc)
         assert "diagonal_sum" in text

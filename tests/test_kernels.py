@@ -188,7 +188,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             band_limits([[0.0, -1.0, 0.0]])
         with pytest.raises(ShapeError):
-            F4Candidate.product().values(np.zeros((5, 2)))
+            F4Candidate.builtin("product").values(np.zeros((5, 2)))
 
     @pytest.mark.parametrize("resolution", [1, MAX_GRID_RESOLUTION + 1])
     def test_grid_resolution_bounds(self, resolution):

@@ -112,6 +112,14 @@ class TestJointDistribution4:
             with pytest.raises(DomainError):
                 JointDistribution4(p)
 
+    def test_probability_messages_are_one_line(self):
+        with pytest.raises(DomainError) as negative:
+            JointDistribution4(np.r_[-0.5, 1.5, np.zeros(14)])
+        with pytest.raises(DomainError) as total:
+            JointDistribution4(np.full(16, 0.125))
+        assert str(negative.value) == "negative probability -0.5"
+        assert str(total.value) == "probabilities sum to 2.0, not 1"
+
     def test_point_mass_moments(self):
         d = JointDistribution4.point_mass((1, -1, 1, -1))
         assert d.moment(0, 1) == -1.0
