@@ -114,6 +114,17 @@ def q_plus_points(points) -> np.ndarray:
     return pts
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if it is equal to one: 3.0 and np.int64(3)
+    pass, while 2.9, NaN and "3" raise DomainError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 #: largest grid resolution, checked before any table is allocated: 8e6 points
 MAX_GRID_RESOLUTION = 200
 
@@ -121,7 +132,7 @@ MAX_GRID_RESOLUTION = 200
 def grid_points(resolution: int) -> np.ndarray:
     """The uniform resolution^3 node lattice on the positive cube as rows
     (theta1, theta2, theta3) in theta1-major order."""
-    resolution = int(resolution)
+    resolution = _integer(resolution, "resolution")
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise DomainError(f"resolution must lie in [2, {MAX_GRID_RESOLUTION}], got {resolution}")
     axis = np.linspace(0.0, math.pi, resolution)

@@ -21,7 +21,7 @@ import numpy as np
 
 # feasible_band stays importable from this module for existing callers
 from .band import band_limits, feasible_band  # noqa: F401
-from .core import BAND_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
+from .core import BAND_TOL, AngleTriple, _integer, grid_points, q_plus_points, singlet_correlation
 from .errors import DomainError, GridFormatError
 from .sampling import _check_seed
 
@@ -262,7 +262,7 @@ def _cone_directions(n: int, seed: int) -> np.ndarray:
 def direction_quotients(candidate, t: float, n_directions: int, seed: int = 0) -> np.ndarray:
     """Second-order quotients over quasi-random cone directions plus the
     exact diagonal (appended last)."""
-    n_directions = int(n_directions)
+    n_directions = _integer(n_directions, "n_directions")
     if n_directions < 8:
         raise DomainError(f"need at least 8 directions, got {n_directions}")
     dirs = np.vstack([_cone_directions(n_directions, seed), _DIAG_DIR])
@@ -318,7 +318,7 @@ def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> Quad
     radius = float(radius)
     if not (0.0 < radius <= 0.3):
         raise DomainError(f"radius must lie in (0, 0.3], got {radius}")
-    samples = int(samples)
+    samples = _integer(samples, "samples")
     if samples < 10:
         raise DomainError(f"fit is underdetermined with {samples} samples")
     pts = _ball_points(radius, samples, seed)

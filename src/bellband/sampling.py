@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_probabilities, singlet_joint
+from .core import _check_probabilities, _integer, singlet_joint
 from .errors import DomainError, ShapeError
 
 #: draws per sub-seeded chunk
@@ -26,14 +26,14 @@ _U64_MAX = (1 << 64) - 1
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not (0 <= seed <= _U64_MAX):
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
 def _check_count(n: int) -> int:
-    n = int(n)
+    n = _integer(n, "sample count")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     return n

@@ -11,15 +11,23 @@ from bellband import (
     AngleQuadruplet,
     AngleTriple,
     DomainError,
+    F4Candidate,
     JointDistribution2,
     ShapeError,
     as_outcomes,
+    band_map,
+    direction_quotients,
     empirical_correlation,
+    inequality_scan,
+    quadratic_fit,
     reduce_angles,
+    sample_singlet_pairs,
     singlet_joint,
     twisted_malus,
     wrap_angle,
 )
+from bellband.core import grid_points
+from bellband.sampling import _check_seed
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -230,3 +238,40 @@ def test_package_exports_what_it_imports():
     exported = [name for name in bellband.__all__ if name != "__version__"]
     assert sorted(imported) == sorted(exported)
 
+
+PRODUCT = F4Candidate.builtin("product")
+#: every entry point whose argument must be an integer: a call of it on that
+#: argument, the argument's name in the message, and a valid integer value
+INTEGER_ARGUMENTS = {
+    "grid_points": (lambda v: grid_points(v), "resolution", 3),
+    "band_map": (lambda v: band_map(v), "resolution", 3),
+    "inequality_scan": (lambda v: inequality_scan(PRODUCT, v), "resolution", 3),
+    "sample_count": (lambda v: sample_singlet_pairs(0.3, v, 1), "sample count", 3),
+    "sample_seed": (lambda v: sample_singlet_pairs(0.3, 3, v), "seed", 1),
+    "check_seed": (lambda v: _check_seed(v), "seed", 5),
+    "quadratic_fit": (lambda v: quadratic_fit(PRODUCT, 0.1, v).c_quad, "samples", 10),
+    "direction_quotients": (lambda v: direction_quotients(PRODUCT, 1e-2, v), "n_directions", 8),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+class TestIntegerArguments:
+    # int() once truncated these: grid_points(2.9) gave the r = 2 lattice
+    @pytest.mark.parametrize("offset", [0.9, -0.1, 0.5])
+    def test_fractions_rejected(self, entry, offset):
+        call, name, good = INTEGER_ARGUMENTS[entry]
+        value = good + offset
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "3", None, [3]])
+    def test_non_numbers_rejected(self, entry, value):
+        call, name, _ = INTEGER_ARGUMENTS[entry]
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            call(value)
+
+    def test_integral_values_accepted(self, entry):
+        call, _, good = INTEGER_ARGUMENTS[entry]
+        expected = call(good)
+        for value in (float(good), np.int64(good), np.uint8(good), np.float32(good)):
+            np.testing.assert_equal(call(value), expected)
