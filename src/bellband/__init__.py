@@ -13,15 +13,12 @@ from .chsh import (
     polytope_member,
 )
 from .core import (
-    AngleQuadruplet,
     AngleTriple,
     JointDistribution2,
     as_outcomes,
     empirical_correlation,
-    reduce_angles,
     singlet_joint,
     twisted_malus,
-    wrap_angle,
 )
 from .errors import (
     BellbandError,
@@ -40,9 +37,7 @@ from .f4 import (
     direction_quotients,
     gradient_at_origin,
     inequality_scan,
-    jump_measure,
     quadratic_fit,
-    second_quotient,
 )
 from .sampling import (
     JointDistribution4,
@@ -54,7 +49,6 @@ from .sampling import (
 
 __all__ = [
     "__version__",
-    "AngleQuadruplet",
     "AngleTriple",
     "AnalysisReport",
     "BellbandError",
@@ -85,16 +79,12 @@ __all__ = [
     "feasible_distribution",
     "gradient_at_origin",
     "inequality_scan",
-    "jump_measure",
     "lp_band",
     "polytope_member",
     "quadratic_fit",
-    "reduce_angles",
     "sample_lhv_pairs",
     "sample_octet",
     "sample_singlet_pairs",
-    "second_quotient",
     "singlet_joint",
     "twisted_malus",
-    "wrap_angle",
 ]

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BAND_TOL, ROUND_TOL, AngleTriple, grid_points, q_plus_points, singlet_correlation
+from .core import (
+    BAND_TOL, ROUND_TOL, AngleTriple, _real, grid_points, q_plus_points, singlet_correlation,
+)
 from .errors import DomainError, InfeasibleError
 from .sampling import JointDistribution4
 
@@ -38,9 +40,6 @@ class Interval:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
 
 def band_limits(points) -> tuple[np.ndarray, np.ndarray]:
@@ -140,10 +139,11 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
     past +-1 by about 1e-12 near the edges of the cube, so the reported
     extremes are clipped to [-1, 1].
     """
-    for name, v in (("c1", c1), ("c2", c2), ("c3", c3)):
-        if not math.isfinite(float(v)) or abs(v) > 1.0:
+    b = np.array([1.0, _real(c1, "c1"), _real(c2, "c2"), _real(c3, "c3")])
+    for name, v, c in zip(("c1", "c2", "c3"), (c1, c2, c3), b[1:]):
+        if not (math.isfinite(c) and abs(c) <= 1.0):
             raise DomainError(f"{name} = {v} is not a correlation in [-1, 1]")
-    sols = (_INV_ROWS @ np.array([1.0, c1, c2, c3])).reshape(4, -1)
+    sols = (_INV_ROWS @ b).reshape(4, -1)
     # basic solutions are probabilities: a basis is feasible only to
     # probability rounding, or extremes escape [-1, 1] at collapsed bands
     worst = sols.min(axis=0)
@@ -176,7 +176,8 @@ def feasible_distribution(c1: float, c2: float, c3: float, f: float) -> JointDis
     moments (c1, c2, c3, f), built as a convex combination of the two LP
     witnesses."""
     result = lp_band(c1, c2, c3)
-    if not (result.min_value - BAND_TOL <= f <= result.max_value + BAND_TOL):
+    target = _real(f, "f")
+    if not (result.min_value - BAND_TOL <= target <= result.max_value + BAND_TOL):
         raise InfeasibleError(
             f"fourth moment {f} lies outside the feasible band "
             f"[{result.min_value}, {result.max_value}]"
@@ -184,7 +185,7 @@ def feasible_distribution(c1: float, c2: float, c3: float, f: float) -> JointDis
     span = result.max_value - result.min_value
     if span <= BAND_TOL:
         return result.witness_min
-    lam = (result.max_value - f) / span
+    lam = (result.max_value - target) / span
     lam = min(max(lam, 0.0), 1.0)
     p = lam * result.witness_min.p + (1.0 - lam) * result.witness_max.p
     return JointDistribution4(p)

@@ -1,9 +1,9 @@
 """Angle conventions, the twisted Malus law, singlet outcome statistics,
 and empirical correlation of +/-1 sequences.
 
-Angles are radians as 64-bit floats.  The circle is represented by the
-half-open interval [-pi, pi); the positive cube Q+ = [0, pi]^3 is the
-domain of the reduced angle triples.
+Angles are radians as 64-bit floats.  A detector configuration enters as
+its reduced triple (theta_a - theta_b, theta_a' - theta_b, theta_a - theta_b'),
+taken as given; the positive cube Q+ = [0, pi]^3 is its domain.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ ROUND_TOL = 1e-12
 BAND_TOL = 1e-9
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce ``x`` modulo 2*pi into [-pi, pi)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"angle must be finite, got {x}")
-    y = math.fmod(x + math.pi, TWO_PI)
-    if y < 0.0:
-        y += TWO_PI
-    return y - math.pi
-
-
 def singlet_correlation(theta):
     """Singlet correlation -cos(theta), elementwise over arrays of relative
     detector angles; callers validate the angles."""
@@ -55,28 +44,11 @@ def twisted_malus(theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class AngleQuadruplet:
-    """Detector angles (theta_a, theta_a', theta_b, theta_b'), each wrapped
-    to [-pi, pi) relative to a fixed reference direction."""
-
-    theta_a: float
-    theta_a_prime: float
-    theta_b: float
-    theta_b_prime: float
-
-    def __post_init__(self):
-        for name in ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
-
-
-@dataclass(frozen=True)
 class AngleTriple:
     """Reduced coordinates (theta1, theta2, theta3) of a detector
-    configuration.
-
-    ``in_q_plus`` records whether all three components lie in [0, pi];
-    operations defined only on the positive cube reject triples where it
-    is False.  ``theta4`` is the dependent fourth difference.
+    configuration.  Any finite triple is accepted; operations defined only
+    on the positive cube check it with ``q_plus_points``.  ``theta4`` is the
+    dependent fourth difference.
     """
 
     theta1: float
@@ -89,8 +61,6 @@ class AngleTriple:
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
-        ok = all(0.0 <= t <= math.pi for t in (self.theta1, self.theta2, self.theta3))
-        object.__setattr__(self, "in_q_plus", ok)
 
     @property
     def theta4(self) -> float:
@@ -125,6 +95,14 @@ def _integer(value, name: str) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; whatever ``float()`` rejects raises DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 #: largest grid resolution, checked before any table is allocated: 8e6 points
 MAX_GRID_RESOLUTION = 200
 
@@ -138,28 +116,6 @@ def grid_points(resolution: int) -> np.ndarray:
     axis = np.linspace(0.0, math.pi, resolution)
     lattice = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
     return np.stack(lattice, axis=-1).reshape(-1, 3)
-
-
-def reduce_angles(q: AngleQuadruplet) -> AngleTriple:
-    """Map a detector quadruplet to the reduced triple
-    (theta_a - theta_b, theta_a' - theta_b, theta_a - theta_b').
-
-    Differences are wrapped to [-pi, pi); a wrapped value of exactly -pi
-    is promoted to +pi so that configurations at relative angle pi stay
-    inside the positive cube.
-    """
-    diffs = (
-        q.theta_a - q.theta_b,
-        q.theta_a_prime - q.theta_b,
-        q.theta_a - q.theta_b_prime,
-    )
-    wrapped = []
-    for d in diffs:
-        w = wrap_angle(d)
-        if w == -math.pi:
-            w = math.pi
-        wrapped.append(w)
-    return AngleTriple(*wrapped)
 
 
 def _check_probabilities(p: np.ndarray) -> None:

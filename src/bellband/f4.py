@@ -1,8 +1,9 @@
 """Candidate fourth-correlation functions and the finite-difference
 machinery that probes their regularity at the origin of the positive
-cube: gradient, axis derivatives, second-order quotients, quadratic
-fitting, the coefficient-consistency (contradiction) report, and the
-directional-jump and inequality scans.
+cube: gradient, axis derivatives, second-order quotients over cone
+directions, quadratic fitting, the coefficient-consistency
+(contradiction) report, whose quotient spread flags a directional jump,
+and the inequality scan.
 
 A candidate is any object with ``values(points)``, its values over
 triples of shape (..., 3); ``name`` is optional, and a ``kind == "grid"``
@@ -208,19 +209,6 @@ def _quotients(candidate, directions: np.ndarray, t: float) -> np.ndarray:
     return (candidate.values(t * v) + 1.0) / (t * t)
 
 
-def second_quotient(candidate, direction, t: float) -> float:
-    """The quotient (F(t*v) + 1) / t^2 along a direction v in the positive
-    cone."""
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"direction must be a 3-vector, got shape {v.shape}")
-    if np.any(v < 0.0):
-        raise DomainError(f"direction {v} leaves the positive cone")
-    if float(np.linalg.norm(v)) == 0.0:
-        raise DomainError("direction must be nonzero")
-    return float(_quotients(candidate, v[None, :], t)[0])
-
-
 def _halton(seed: int, n: int) -> np.ndarray:
     """The first n points, shape (n, 3), of Owen's scrambled Halton
     sequence in bases 2, 3 and 5 (A. B. Owen, arXiv:1706.02808), bit for
@@ -269,24 +257,14 @@ def direction_quotients(candidate, t: float, n_directions: int, seed: int = 0) -
     return _quotients(candidate, dirs, t)
 
 
-def jump_measure(candidate, t: float, n_directions: int, seed: int = 0) -> float:
-    """Spread (max - min) of the second-order quotient over directions; a
-    large value certifies a directional jump at the origin."""
-    t = float(t)
-    if not (0.0 < t <= 0.1):
-        raise DomainError(f"step must lie in (0, 0.1], got {t}")
-    q = direction_quotients(candidate, t, n_directions, seed)
-    return float(q.max() - q.min())
-
-
 @dataclass(frozen=True)
 class QuadraticFit:
     """Least-squares quadratic model c0 + sum c_i t_i + sum_{i<=j} c_ij
-    t_i t_j near the origin."""
+    t_i t_j near the origin; ``c_quad`` holds the rows of the symmetric (c_ij)."""
 
     c0: float
-    c_lin: np.ndarray
-    c_quad: np.ndarray
+    c_lin: tuple
+    c_quad: tuple
     residual: float
 
     @property
@@ -295,7 +273,7 @@ class QuadraticFit:
 
     @property
     def max_cross_coeff(self) -> float:
-        off = self.c_quad[np.triu_indices(3, k=1)]
+        off = np.asarray(self.c_quad)[np.triu_indices(3, k=1)]
         return float(np.max(np.abs(off)))
 
 
@@ -331,8 +309,8 @@ def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> Quad
     pred = design @ coef
     residual = float(np.sqrt(np.mean((pred - values) ** 2)))
     # off-diagonal entries hold the i<j coefficients themselves
-    c_quad = coef[[4, 5, 6, 5, 7, 8, 6, 8, 9]].reshape(3, 3)
-    return QuadraticFit(c0=float(coef[0]), c_lin=coef[1:4].copy(), c_quad=c_quad, residual=residual)
+    c_quad = tuple(map(tuple, coef[[4, 5, 6, 5, 7, 8, 6, 8, 9]].reshape(3, 3).tolist()))
+    return QuadraticFit(float(coef[0]), tuple(coef[1:4].tolist()), c_quad, residual)
 
 
 # the report's thresholds: fit residual, coefficient mismatch, quotient spread
@@ -364,8 +342,8 @@ class AnalysisReport:
 
     candidate: str
     value_at_origin: float
-    gradient_at_origin: np.ndarray
-    axis_residuals: np.ndarray
+    gradient_at_origin: tuple
+    axis_residuals: tuple
     second_quotient_bound: float
     fit: QuadraticFit
     diagonal_sum: float
@@ -377,19 +355,15 @@ class AnalysisReport:
     disclaimer: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self, dict_factory=_plain_dict)
+        return _plain(self)
 
 
-def _plain_dict(items) -> dict:
-    """``dataclasses.asdict`` factory that turns arrays and tuples into lists."""
-    out = {}
-    for key, value in items:
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+def _plain(value):
+    """``value`` with each dataclass, nested ones too, as a dict of its
+    fields and each tuple as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _diagonal_coeff(candidate) -> float:
@@ -411,10 +385,8 @@ def contradiction_report(candidate, seed: int = 0) -> AnalysisReport:
     with vanishing cross terms, yet the diagonal demands a total of 1/2.
     """
     value_at_origin = float(candidate.values(np.zeros((1, 3)))[0])
-    grad = gradient_at_origin(candidate)
-    axis_residuals = np.array(
-        [axis_derivative_check(candidate, math.pi / 4.0, i) for i in (1, 2, 3)]
-    )
+    grad = tuple(gradient_at_origin(candidate).tolist())
+    axis_residuals = tuple(axis_derivative_check(candidate, math.pi / 4.0, i) for i in (1, 2, 3))
     fit_radius = 0.1
     fit = quadratic_fit(candidate, radius=fit_radius, samples=200, seed=seed)
     diagonal_sum = _diagonal_coeff(candidate)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_probabilities, _integer, singlet_joint
+from .core import _check_probabilities, _integer, _real, singlet_joint
 from .errors import DomainError, ShapeError
 
 #: draws per sub-seeded chunk
@@ -95,8 +95,9 @@ def sample_lhv_pairs(theta_a: float, theta_b: float, n: int, seed: int = 0):
     with sign(0) := +1.  The model correlation is the sawtooth
     -1 + 2|theta_a - theta_b|/pi for angle gaps up to pi.
     """
+    theta_a, theta_b = _real(theta_a, "theta_a"), _real(theta_b, "theta_b")
     for name, v in (("theta_a", theta_a), ("theta_b", theta_b)):
-        if not math.isfinite(float(v)):
+        if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v}")
 
     def draw(rng, m):
@@ -137,35 +138,11 @@ class JointDistribution4:
     def __hash__(self):
         return hash(self.p.tobytes())
 
-    def moment(self, i: int, j: int) -> float:
-        """Expected product of pattern components i and j."""
-        signs = self.PATTERNS[:, i].astype(float) * self.PATTERNS[:, j]
-        return float(np.dot(self.p, signs))
 
-    @classmethod
-    def point_mass(cls, pattern) -> "JointDistribution4":
-        try:
-            # ValueError: no row matches, as for a pattern of another length
-            # or shape; TypeError: not a sequence
-            index = list(map(tuple, cls.PATTERNS.tolist())).index(tuple(pattern))
-        except (TypeError, ValueError):
-            raise DomainError(f"not a +/-1 sign pattern: {pattern}") from None
-        p = np.zeros(16)
-        p[index] = 1.0
-        return cls(p)
-
-    @classmethod
-    def uniform(cls) -> "JointDistribution4":
-        return cls(np.full(16, 1.0 / 16.0))
-
-
-@dataclass
+@dataclass(frozen=True)
 class OctetSequences:
-    """The four stored outcome sequences of one Bell run.
-
-    The identifications b_bo == b_oo and a_ob == a_oo hold by
-    construction and are exposed as aliases rather than stored.
-    """
+    """The four stored outcome sequences of one Bell run, read-only and of
+    equal length; the identified b_bo == b_oo and a_ob == a_oo are not stored."""
 
     a_oo: np.ndarray
     b_oo: np.ndarray
@@ -173,17 +150,23 @@ class OctetSequences:
     b_ob: np.ndarray
 
     def __post_init__(self):
+        for name, column in tuple(vars(self).items()):
+            # a view, so no copy is made and the caller's array keeps its flags
+            column = np.asarray(column).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         n = len(self.a_oo)
         if not (len(self.b_oo) == len(self.a_bo) == len(self.b_ob) == n):
             raise ShapeError("all four sequences must have equal length")
 
-    @property
-    def b_bo(self) -> np.ndarray:
-        return self.b_oo
+    def _key(self) -> tuple:
+        return tuple((c.dtype.str, c.shape, c.tobytes()) for c in vars(self).values())
 
-    @property
-    def a_ob(self) -> np.ndarray:
-        return self.a_oo
+    def __eq__(self, other):
+        return isinstance(other, OctetSequences) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.a_oo)

@@ -11,6 +11,7 @@ from bellband import (
     DomainError,
     InfeasibleError,
     Interval,
+    JointDistribution4,
     band_map,
     feasible_band,
     feasible_distribution,
@@ -19,7 +20,15 @@ from bellband import (
 from bellband.core import BAND_TOL, ROUND_TOL
 
 correlations = st.floats(-1, 1, allow_nan=False)
+CORRELATIONS = JointDistribution4.CORRELATIONS
 cube_angles = st.floats(0, math.pi, allow_nan=False)
+
+
+def moments(d):
+    """The four correlations of a distribution, each the mean product of
+    its two pattern columns."""
+    signs = d.PATTERNS.astype(float)
+    return {name: float(d.p @ (signs[:, i] * signs[:, j])) for name, (i, j) in CORRELATIONS.items()}
 
 
 class TestInterval:
@@ -64,7 +73,7 @@ class TestFeasibleBand:
     @given(cube_angles)
     def test_diagonal_containment(self, t):
         band = feasible_band(AngleTriple(t, t, t))
-        assert band.contains(-math.cos(t), tol=1e-12)
+        assert band.lo - 1e-12 <= -math.cos(t) <= band.hi + 1e-12
 
 
 class TestBandMap:
@@ -115,10 +124,9 @@ class TestLpBand:
             c1, c2, c3 = rng.uniform(-1, 1, 3)
             r = lp_band(c1, c2, c3)
             for witness, extreme in ((r.witness_min, r.min_value), (r.witness_max, r.max_value)):
-                assert witness.moment(0, 1) == pytest.approx(c1, abs=1e-9)
-                assert witness.moment(2, 1) == pytest.approx(c2, abs=1e-9)
-                assert witness.moment(0, 3) == pytest.approx(c3, abs=1e-9)
-                assert witness.moment(2, 3) == pytest.approx(extreme, abs=1e-9)
+                assert moments(witness) == pytest.approx(
+                    {"c1": c1, "c2": c2, "c3": c3, "f": extreme}, abs=1e-9
+                )
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(123)
@@ -158,10 +166,7 @@ class TestLpBand:
 class TestFeasibleDistribution:
     def test_corner_moments(self):
         d = feasible_distribution(-1, -1, -1, -1)
-        assert d.moment(0, 1) == pytest.approx(-1, abs=1e-9)
-        assert d.moment(2, 1) == pytest.approx(-1, abs=1e-9)
-        assert d.moment(0, 3) == pytest.approx(-1, abs=1e-9)
-        assert d.moment(2, 3) == pytest.approx(-1, abs=1e-9)
+        assert moments(d) == pytest.approx(dict.fromkeys(CORRELATIONS, -1), abs=1e-9)
         # mass concentrates on patterns where both of Bob's columns
         # oppose both of Alice's
         support = np.flatnonzero(d.p > 1e-12)
@@ -171,10 +176,7 @@ class TestFeasibleDistribution:
 
     def test_center_moments(self):
         d = feasible_distribution(0, 0, 0, 0)
-        assert d.moment(0, 1) == pytest.approx(0, abs=1e-9)
-        assert d.moment(2, 1) == pytest.approx(0, abs=1e-9)
-        assert d.moment(0, 3) == pytest.approx(0, abs=1e-9)
-        assert d.moment(2, 3) == pytest.approx(0, abs=1e-9)
+        assert moments(d) == pytest.approx(dict.fromkeys(CORRELATIONS, 0), abs=1e-9)
 
     def test_infeasible_fourth_moment(self):
         with pytest.raises(InfeasibleError):
@@ -186,10 +188,9 @@ class TestFeasibleDistribution:
         r = lp_band(c1, c2, c3)
         f = r.min_value + frac * (r.max_value - r.min_value)
         d = feasible_distribution(c1, c2, c3, f)
-        assert d.moment(0, 1) == pytest.approx(c1, abs=1e-9)
-        assert d.moment(2, 1) == pytest.approx(c2, abs=1e-9)
-        assert d.moment(0, 3) == pytest.approx(c3, abs=1e-9)
-        assert d.moment(2, 3) == pytest.approx(f, abs=1e-9)
+        assert moments(d) == pytest.approx(
+            {"c1": c1, "c2": c2, "c3": c3, "f": f}, abs=1e-9
+        )
 
 
 # --- lp_band against its first form, bit for bit ---------------------------

@@ -148,9 +148,8 @@ class TestMembershipMatchesBand:
                 for t3 in axis:
                     theta = AngleTriple(t1, t2, t3)
                     member = polytope_member(correlations_from_angles(theta, candidate))
-                    in_band = feasible_band(theta).contains(
-                        candidate.evaluate(theta), tol=1e-12
-                    )
+                    band = feasible_band(theta)
+                    in_band = band.lo - 1e-12 <= candidate.evaluate(theta) <= band.hi + 1e-12
                     if member != in_band:
                         disagreements += 1
                     if not member and kind == "locality":

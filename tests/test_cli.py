@@ -439,7 +439,8 @@ def test_petabyte_count_fails_cleanly(tmp_path, args, n):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is most of the import time, and only the f4 probes use it
+    # no module of the package imports scipy; when f4 imported scipy.stats it was
+    # most of the CLI's start-up, so this keeps it from coming back
     code = "import sys, bellband.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
     result = subprocess.run(

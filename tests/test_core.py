@@ -8,57 +8,35 @@ from hypothesis import given, strategies as st
 
 import bellband
 from bellband import (
-    AngleQuadruplet,
     AngleTriple,
+    CorrelationVector,
     DomainError,
     F4Candidate,
     JointDistribution2,
+    JointDistribution4,
     ShapeError,
+    Violation,
     as_outcomes,
     band_map,
+    boole_check,
+    contradiction_report,
     direction_quotients,
     empirical_correlation,
+    feasible_band,
+    feasible_distribution,
     inequality_scan,
+    lp_band,
     quadratic_fit,
-    reduce_angles,
+    sample_lhv_pairs,
+    sample_octet,
     sample_singlet_pairs,
     singlet_joint,
     twisted_malus,
-    wrap_angle,
 )
 from bellband.core import grid_points
 from bellband.sampling import _check_seed
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestWrapAngle:
-    def test_identity(self):
-        assert wrap_angle(0.0) == 0.0
-
-    def test_periodicity(self):
-        assert wrap_angle(3 * math.pi) == -math.pi
-
-    def test_boundary_convention(self):
-        assert wrap_angle(-math.pi) == -math.pi
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            wrap_angle(math.nan)
-        with pytest.raises(DomainError):
-            wrap_angle(math.inf)
-
-    @given(finite_angles)
-    def test_idempotent(self, x):
-        once = wrap_angle(x)
-        assert wrap_angle(once) == once
-
-    @given(finite_angles)
-    def test_range_and_congruence(self, x):
-        w = wrap_angle(x)
-        assert -math.pi <= w < math.pi
-        k = round((x - w) / (2 * math.pi))
-        assert x - w == pytest.approx(2 * math.pi * k, abs=1e-6)
 
 
 class TestTwistedMalus:
@@ -77,49 +55,10 @@ class TestTwistedMalus:
         )
 
 
-class TestReduceAngles:
-    def test_all_zero(self):
-        t = reduce_angles(AngleQuadruplet(0, 0, 0, 0))
-        assert (t.theta1, t.theta2, t.theta3, t.theta4) == (0, 0, 0, 0)
-        assert t.in_q_plus
-
-    def test_direct_subtraction(self):
-        t = reduce_angles(AngleQuadruplet(3 * math.pi / 4, math.pi / 4, 0, 0))
-        assert t.theta1 == pytest.approx(3 * math.pi / 4)
-        assert t.theta2 == pytest.approx(math.pi / 4)
-        assert t.theta3 == pytest.approx(3 * math.pi / 4)
-        assert t.theta4 == pytest.approx(-math.pi / 4)
-        assert t.in_q_plus
-
-    @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 2, 3.0])
-    def test_diagonal_configuration(self, theta):
-        t = reduce_angles(AngleQuadruplet(theta, theta, 0, 0))
-        assert t.theta1 == t.theta2 == t.theta3 == pytest.approx(theta)
-        assert t.theta4 == pytest.approx(-theta)
-
-    def test_flags_outside_positive_cube(self):
-        t = reduce_angles(AngleQuadruplet(0, 0, 0.5, 0))
-        assert t.theta1 == pytest.approx(-0.5)
-        assert not t.in_q_plus
-
-    def test_difference_of_pi_stays_inside(self):
-        t = reduce_angles(AngleQuadruplet(0, 0, math.pi, 0))
-        # the wrapped difference is exactly pi, which belongs to the cube
-        assert t.theta1 == math.pi
-        assert t.theta2 == math.pi
-        assert t.theta3 == 0.0
-        assert t.in_q_plus
-
-
 class TestAngleTriple:
     def test_theta4_is_derived(self):
         t = AngleTriple(1.0, 0.25, 0.5)
         assert t.theta4 == 1.0 - (0.25 + 0.5)
-
-    def test_q_plus_flag(self):
-        assert AngleTriple(0, math.pi, 1.0).in_q_plus
-        assert not AngleTriple(-0.1, 0.5, 0.5).in_q_plus
-        assert not AngleTriple(0.5, 3.2, 0.5).in_q_plus
 
 
 class TestSingletJoint:
@@ -275,3 +214,56 @@ class TestIntegerArguments:
         expected = call(good)
         for value in (float(good), np.int64(good), np.uint8(good), np.float32(good)):
             np.testing.assert_equal(call(value), expected)
+
+
+#: every entry point that takes a real number: a call of it on that argument,
+#: and the argument's name in the message
+REAL_ARGUMENTS = {
+    "lp_band_c1": (lambda v: lp_band(v, 0, 0), "c1"),
+    "lp_band_c3": (lambda v: lp_band(0, 0, v), "c3"),
+    "lhv_theta_a": (lambda v: sample_lhv_pairs(v, 0, 3), "theta_a"),
+    "lhv_theta_b": (lambda v: sample_lhv_pairs(0, v, 3), "theta_b"),
+    "feasible_distribution_f": (lambda v: feasible_distribution(0, 0, 0, v), "f"),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+class TestRealArguments:
+    # each value once passed, or skipped, the check and then raised a bare
+    # TypeError or ValueError where it was used
+    @pytest.mark.parametrize("value", [None, "x", [0.5]], ids=["None", "x", "list"])
+    def test_non_numbers_rejected(self, entry, value):
+        call, name = REAL_ARGUMENTS[entry]
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+            call(value)
+
+    def test_computed_with_the_checked_value(self, entry):
+        call, _ = REAL_ARGUMENTS[entry]
+        np.testing.assert_equal(call("0.5"), call(0.5))
+
+
+UNIFORM4 = JointDistribution4(np.full(16, 1.0 / 16.0))
+#: every exported value type: a build of it from an integer k, where equal k
+#: give equal values and k = 0 and k = 1 give different ones
+VALUE_TYPES = {
+    "AngleTriple": lambda k: AngleTriple(0.5, 1.0, 1.5 + k),
+    "JointDistribution2": lambda k: singlet_joint(0.5 + k),
+    "JointDistribution4": lambda k: feasible_distribution(-0.5, 0.0, 0.5, 0.25 * k),
+    "OctetSequences": lambda k: sample_octet(UNIFORM4, 100, seed=k),
+    "Interval": lambda k: feasible_band(AngleTriple(1.0, 2.0, 0.5 + k)),
+    "LpResult": lambda k: lp_band(-0.5, 0.0, 0.5 - 0.25 * k),
+    "CorrelationVector": lambda k: CorrelationVector(0.1, 0.2, 0.3, 0.4 - 0.5 * k),
+    "BooleResult": lambda k: boole_check(*vars(sample_octet(UNIFORM4, 100, seed=k)).values()),
+    "F4Candidate": lambda k: F4Candidate.from_grid(2, np.full(8, -1.0 + 0.5 * k)),
+    "QuadraticFit": lambda k: quadratic_fit(PRODUCT, 0.1, 20, seed=k),
+    "AnalysisReport": lambda k: contradiction_report(PRODUCT, seed=k),
+    "Violation": lambda k: Violation((0.0, 0.0, 0.0), "diagonal", 0.5 * k, -1.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+def test_value_types_compare_and_hash(kind):
+    a, b, other = (VALUE_TYPES[kind](k) for k in (0, 0, 1))
+    assert type(a).__name__ == kind and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != other

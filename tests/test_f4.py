@@ -15,13 +15,10 @@ from bellband import (
     feasible_band,
     gradient_at_origin,
     inequality_scan,
-    jump_measure,
     quadratic_fit,
-    second_quotient,
 )
-from bellband.f4 import _ball_points, _halton
+from bellband.f4 import _ball_points, _halton, _quotients
 
-DIAG = np.full(3, 1 / math.sqrt(3))
 PRODUCT = F4Candidate.builtin("product")
 
 
@@ -154,22 +151,13 @@ def test_candidate_rejections(make, message):
 @pytest.mark.parametrize(
     "probe, message",
     [
-        *(pytest.param(lambda t=t: second_quotient(PRODUCT, DIAG, t),
+        *(pytest.param(lambda t=t: direction_quotients(PRODUCT, t, 8),
                        r"step must lie in \(0, 0.5\], got", id=f"quotient-step-{t}")
           for t in (0.0, -1e-3, 0.6, math.nan)),
         pytest.param(lambda: direction_quotients(PRODUCT, 0.7, 8),
                      r"step must lie in \(0, 0.5\], got 0.7", id="directions-step"),
-        pytest.param(lambda: second_quotient(PRODUCT, (1.0, 1.0), 1e-3),
-                     r"direction must be a 3-vector, got shape \(2,\)", id="two-vector"),
-        pytest.param(lambda: second_quotient(PRODUCT, [DIAG], 1e-3),
-                     r"direction must be a 3-vector, got shape \(1, 3\)", id="row-vector"),
-        pytest.param(lambda: second_quotient(PRODUCT, (0.0, 0.0, 0.0), 1e-3),
-                     "direction must be nonzero", id="zero-direction"),
         pytest.param(lambda: direction_quotients(PRODUCT, 1e-2, 7),
                      "need at least 8 directions, got 7", id="seven-directions"),
-        *(pytest.param(lambda t=t: jump_measure(PRODUCT, t, 16),
-                       r"step must lie in \(0, 0.1\], got", id=f"jump-step-{t}")
-          for t in (0.0, 0.2, math.nan)),
         *(pytest.param(lambda r=r: quadratic_fit(PRODUCT, r, 20),
                        r"radius must lie in \(0, 0.3\], got", id=f"fit-radius-{r}")
           for r in (0.0, -0.1, 0.31, math.nan)),
@@ -187,9 +175,8 @@ def test_probe_domain_rejections(probe, message):
         lambda c, seed: contradiction_report(c, seed=seed),
         lambda c, seed: quadratic_fit(c, radius=0.1, samples=20, seed=seed),
         lambda c, seed: direction_quotients(c, 1e-2, 8, seed=seed),
-        lambda c, seed: jump_measure(c, 1e-2, 8, seed=seed),
     ],
-    ids=["contradiction_report", "quadratic_fit", "direction_quotients", "jump_measure"],
+    ids=["contradiction_report", "quadratic_fit", "direction_quotients"],
 )
 def test_halton_seed_outside_u64_rejected(probe, seed):
     with pytest.raises(DomainError, match="unsigned 64-bit integer"):
@@ -289,21 +276,18 @@ class TestAxisDerivative:
 
 
 class TestSecondQuotient:
+    # direction_quotients appends the exact diagonal last
     def test_product_axis(self):
-        q = second_quotient(F4Candidate.builtin("product"), (1, 0, 0), 1e-3)
-        assert q == pytest.approx(0.5, abs=1e-3)
+        q = _quotients(F4Candidate.builtin("product"), np.eye(3), 1e-3)
+        assert q == pytest.approx(np.full(3, 0.5), abs=1e-3)
 
     def test_product_diagonal_direction(self):
-        q = second_quotient(F4Candidate.builtin("product"), DIAG, 1e-3)
+        q = direction_quotients(F4Candidate.builtin("product"), 1e-3, 8)[-1]
         assert q == pytest.approx(0.5, abs=1e-3)
 
     def test_piecewise_diagonal_limit(self):
-        q = second_quotient(F4Candidate.builtin("product-diagonal"), DIAG, 1e-3)
+        q = direction_quotients(F4Candidate.builtin("product-diagonal"), 1e-3, 8)[-1]
         assert q == pytest.approx(1 / 6, abs=1e-3)
-
-    def test_negative_direction_rejected(self):
-        with pytest.raises(DomainError):
-            second_quotient(F4Candidate.builtin("product"), (1, -0.2, 0), 1e-3)
 
 
 class TestQuadraticFit:
@@ -321,9 +305,9 @@ class TestQuadraticFit:
     def test_locality_cross_terms(self):
         fit = quadratic_fit(F4Candidate.builtin("locality"), radius=0.1, samples=200, seed=0)
         assert np.diag(fit.c_quad) == pytest.approx(np.full(3, 0.5), abs=2e-3)
-        assert fit.c_quad[1, 2] == pytest.approx(1.0, abs=2e-3)
-        assert fit.c_quad[0, 1] == pytest.approx(-1.0, abs=2e-3)
-        assert fit.c_quad[0, 2] == pytest.approx(-1.0, abs=2e-3)
+        assert fit.c_quad[1][2] == pytest.approx(1.0, abs=2e-3)
+        assert fit.c_quad[0][1] == pytest.approx(-1.0, abs=2e-3)
+        assert fit.c_quad[0][2] == pytest.approx(-1.0, abs=2e-3)
 
     def test_constant_grid(self):
         fit = quadratic_fit(constant_grid(), radius=0.1, samples=200, seed=0)
@@ -351,16 +335,23 @@ class TestQuadraticFit:
         assert np.array_equal(_ball_points(radius, 1, 111), draw[in_ball[:1]])
 
 
+def quotient_spread(candidate):
+    """The spread of the second-order quotients, as contradiction_report's
+    jump_spread takes it."""
+    q = direction_quotients(candidate, 1e-2, 16)
+    return q.max() - q.min()
+
+
 class TestJumpMeasure:
     def test_product_is_isotropic(self):
-        assert jump_measure(F4Candidate.builtin("product"), 1e-2, 16) <= 1e-3
+        assert quotient_spread(F4Candidate.builtin("product")) <= 1e-3
 
     def test_piecewise_jump_is_one_third(self):
-        spread = jump_measure(F4Candidate.builtin("product-diagonal"), 1e-2, 16)
+        spread = quotient_spread(F4Candidate.builtin("product-diagonal"))
         assert spread == pytest.approx(1 / 3, abs=0.05)
 
     def test_constant_grid_has_no_jump(self):
-        assert jump_measure(constant_grid(), 1e-2, 16) <= 1e-9
+        assert quotient_spread(constant_grid()) <= 1e-9
 
 
 class TestInequalityScan:

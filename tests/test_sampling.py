@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,6 +21,13 @@ from bellband import (
 )
 from bellband.core import singlet_joint
 from bellband.sampling import CHUNK, _categorical
+
+UNIFORM = JointDistribution4(np.full(16, 1.0 / 16.0))
+
+
+def point_mass(pattern):
+    """The distribution with all its mass on one sign pattern."""
+    return JointDistribution4(np.eye(16)[JointDistribution4.PATTERNS.tolist().index(list(pattern))])
 
 
 def lhv_correlation_by_quadrature(theta_a, theta_b, points=200_000):
@@ -120,41 +128,21 @@ class TestJointDistribution4:
         assert str(negative.value) == "negative probability -0.5"
         assert str(total.value) == "probabilities sum to 2.0, not 1"
 
-    def test_point_mass_moments(self):
-        d = JointDistribution4.point_mass((1, -1, 1, -1))
-        assert d.moment(0, 1) == -1.0
-        assert d.moment(2, 3) == -1.0
-        assert d.moment(0, 2) == 1.0
-
-    @pytest.mark.parametrize(
-        "pattern",
-        [(1, 0, 1, 1), (2, 1, 1, 1), (1, 1, 1), (1, 1, 1, 1, 1), [[1, 1], [1, 1]], np.ones((4, 2))],
-    )
-    def test_point_mass_rejects_a_non_sign_pattern(self, pattern):
-        with pytest.raises(DomainError, match=r"not a \+/-1 sign pattern"):
-            JointDistribution4.point_mass(pattern)
-
-    def test_uniform_moments(self):
-        d = JointDistribution4.uniform()
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert d.moment(i, j) == 0.0
-
     def test_value_equality_and_hash(self):
-        d = JointDistribution4.uniform()
-        assert d == JointDistribution4(np.full(16, 1.0 / 16.0))
-        assert hash(d) == hash(JointDistribution4.uniform())
-        assert d != JointDistribution4.point_mass((1, 1, 1, 1))
+        d = JointDistribution4(np.full(16, 1.0 / 16.0))
+        assert d == UNIFORM
+        assert hash(d) == hash(UNIFORM)
+        assert d != point_mass((1, 1, 1, 1))
 
 
 class TestOctetSampler:
     def test_point_mass(self):
-        octet = sample_octet(JointDistribution4.point_mass((1, 1, 1, 1)), 10, seed=0)
+        octet = sample_octet(point_mass((1, 1, 1, 1)), 10, seed=0)
         for seq in (octet.a_oo, octet.b_oo, octet.a_bo, octet.b_ob):
             assert np.all(seq == 1)
 
     def test_uniform_independence(self):
-        octet = sample_octet(JointDistribution4.uniform(), 10**6, seed=1)
+        octet = sample_octet(UNIFORM, 10**6, seed=1)
         seqs = [octet.a_oo, octet.b_oo, octet.a_bo, octet.b_ob]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -172,10 +160,26 @@ class TestOctetSampler:
         assert empirical_correlation(octet.a_oo, octet.b_ob) == pytest.approx(0.5, abs=0.01)
         assert empirical_correlation(octet.a_bo, octet.b_ob) == pytest.approx(f, abs=0.01)
 
-    def test_identified_sequences_are_aliases(self):
-        octet = sample_octet(JointDistribution4.uniform(), 100, seed=2)
-        assert octet.b_bo is octet.b_oo
-        assert octet.a_ob is octet.a_oo
+    def test_frozen_with_read_only_columns(self):
+        octet = sample_octet(UNIFORM, 100, seed=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            octet.a_oo = np.ones(3)
+        for column in vars(octet).values():
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_columns_are_read_only_views(self):
+        # no copy is made, and the caller's array stays writeable
+        ones = np.ones(4, dtype=np.int8)
+        octet = OctetSequences(ones, ones, ones, ones)
+        assert np.shares_memory(octet.a_oo, ones) and ones.flags.writeable
+
+    def test_equality_compares_dtype_shape_and_bytes(self):
+        octet = OctetSequences(*[np.ones(4, dtype=np.int8)] * 4)
+        assert octet == OctetSequences(*[np.ones(4, dtype=np.int8)] * 4)
+        assert octet != OctetSequences(*[np.ones(4)] * 4)
+        assert octet != OctetSequences(*[np.ones((4, 1), dtype=np.int8)] * 4)
+        assert octet != OctetSequences(*[np.ones(4, dtype=np.int8)] * 3, -np.ones(4, dtype=np.int8))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -190,7 +194,7 @@ class TestOctetSampler:
             assert result.holds
 
     def test_deterministic(self):
-        d = JointDistribution4.uniform()
+        d = UNIFORM
         first = sample_octet(d, 70_000, seed=123)
         second = sample_octet(d, 70_000, seed=123)
         assert np.array_equal(first.a_oo, second.a_oo)
@@ -261,7 +265,7 @@ class TestChunkContract:
 
     def test_octet(self, n, seed):
         p = np.random.default_rng(3).dirichlet(np.ones(16))
-        for dist in (JointDistribution4(p), JointDistribution4.point_mass((1, -1, -1, 1))):
+        for dist in (JointDistribution4(p), point_mass((1, -1, -1, 1))):
             octet = sample_octet(dist, n, seed)
             _assert_columns_equal(
                 [octet.a_oo, octet.b_oo, octet.a_bo, octet.b_ob],
@@ -325,7 +329,7 @@ def test_sum_over_one_has_an_edge_past_one():
         lambda n: sample_singlet_pairs(1.0, n, seed=3),
         lambda n: sample_lhv_pairs(0.0, 2.0, n, seed=3),
         lambda n: (lambda o: (o.a_oo, o.b_oo, o.a_bo, o.b_ob))(
-            sample_octet(JointDistribution4.uniform(), n, seed=3)
+            sample_octet(UNIFORM, n, seed=3)
         ),
     ],
     ids=["singlet", "lhv", "octet"],
