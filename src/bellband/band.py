@@ -30,8 +30,13 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (self.lo <= self.hi):
+        lo, hi = _real(self.lo, "lo"), _real(self.hi, "hi")
+        if not (lo <= hi):
             raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
+        if not (-1.0 <= lo and hi <= 1.0):
+            raise DomainError(f"interval [{lo}, {hi}] is not within [-1, 1]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -65,8 +70,7 @@ def band_limits(points) -> tuple[np.ndarray, np.ndarray]:
 def feasible_band(theta: AngleTriple) -> Interval:
     """Exact interval of fourth-correlation values allowed by the CHSH
     inequalities at a configuration in the positive cube."""
-    lo, hi = band_limits(theta.as_array())
-    return Interval(float(lo), float(hi))
+    return Interval(*band_limits(theta.as_array()))
 
 
 def band_map(resolution: int) -> np.ndarray:

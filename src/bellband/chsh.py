@@ -3,11 +3,12 @@ classical correlation polytope."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ROUND_TOL, AngleTriple, empirical_correlation, q_plus_points, singlet_correlation
+from .core import (
+    ROUND_TOL, AngleTriple, _real, empirical_correlation, q_plus_points, singlet_correlation,
+)
 from .errors import DomainError
 from .sampling import JointDistribution4
 
@@ -58,8 +59,9 @@ class CorrelationVector:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or abs(v) > 1.0 + ROUND_TOL:
+            v = _real(getattr(self, name), name)
+            # written so that NaN fails it too
+            if not abs(v) <= 1.0 + ROUND_TOL:
                 raise DomainError(f"{name} = {v} is not a correlation in [-1, 1]")
             object.__setattr__(self, name, v)
 

@@ -28,60 +28,7 @@ ROUND_TOL = 1e-12
 #: tests/test_exact.py finds the float LP extremes within 3.9e-12 of exact
 BAND_TOL = 1e-9
 
-
-def singlet_correlation(theta):
-    """Singlet correlation -cos(theta), elementwise over arrays of relative
-    detector angles; callers validate the angles."""
-    return -np.cos(theta)
-
-
-def twisted_malus(theta: float) -> float:
-    """Singlet correlation -cos(theta) at relative detector angle theta."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"angle must be finite, got {theta}")
-    return float(singlet_correlation(theta))
-
-
-@dataclass(frozen=True)
-class AngleTriple:
-    """Reduced coordinates (theta1, theta2, theta3) of a detector
-    configuration.  Any finite triple is accepted; operations defined only
-    on the positive cube check it with ``q_plus_points``.  ``theta4`` is the
-    dependent fourth difference.
-    """
-
-    theta1: float
-    theta2: float
-    theta3: float
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-
-    @property
-    def theta4(self) -> float:
-        return self.theta1 - (self.theta2 + self.theta3)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.theta3])
-
-
-def q_plus_points(points) -> np.ndarray:
-    """Validate reduced triples given as an array of shape (..., 3) with
-    every component in [0, pi]; return them as float64."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0 or pts.shape[-1] != 3:
-        raise ShapeError(f"expected triples of shape (..., 3), got shape {pts.shape}")
-    # written so that NaN fails it too
-    outside = ~np.all((pts >= 0.0) & (pts <= math.pi), axis=-1)
-    if np.any(outside):
-        bad = tuple(pts[outside][0].tolist())
-        raise DomainError(f"triple {bad} lies outside the positive cube [0, pi]^3")
-    return pts
+# The rules for a caller's scalar arguments; each raises DomainError naming one.
 
 
 def _integer(value, name: str) -> int:
@@ -96,11 +43,75 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; whatever ``float()`` rejects raises DomainError."""
+    """``value`` as a float; whatever ``float()`` rejects raises DomainError,
+    while a numeric string such as "0.5" counts as its number."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _finite(value, name: str) -> float:
+    """``_real(value)``, which must also be finite."""
+    value = _real(value, name)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_seed(seed) -> int:
+    """An RNG seed: an integer in [0, 2^64)."""
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < (1 << 64):
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def singlet_correlation(theta):
+    """Singlet correlation -cos(theta), elementwise over arrays of relative
+    detector angles; callers validate the angles."""
+    return -np.cos(theta)
+
+
+def twisted_malus(theta: float) -> float:
+    """Singlet correlation -cos(theta) at relative detector angle theta."""
+    return float(singlet_correlation(_finite(theta, "angle")))
+
+
+@dataclass(frozen=True)
+class AngleTriple:
+    """Reduced coordinates (theta1, theta2, theta3) of a detector
+    configuration.  Any finite triple is accepted; operations defined only
+    on the positive cube check it with ``q_plus_points``.
+    """
+
+    theta1: float
+    theta2: float
+    theta3: float
+
+    def __post_init__(self):
+        for name in ("theta1", "theta2", "theta3"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.theta1, self.theta2, self.theta3])
+
+
+def q_plus_points(points) -> np.ndarray:
+    """Validate reduced triples given as an array of shape (..., 3) with
+    every component in [0, pi]; return them as float64."""
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"triples must be real numbers: {exc}") from None
+    if pts.ndim == 0 or pts.shape[-1] != 3:
+        raise ShapeError(f"expected triples of shape (..., 3), got shape {pts.shape}")
+    # written so that NaN fails it too
+    outside = ~np.all((pts >= 0.0) & (pts <= math.pi), axis=-1)
+    if np.any(outside):
+        bad = tuple(pts[outside][0].tolist())
+        raise DomainError(f"triple {bad} lies outside the positive cube [0, pi]^3")
+    return pts
 
 
 #: largest grid resolution, checked before any table is allocated: 8e6 points
@@ -140,6 +151,8 @@ class JointDistribution2:
     p_mm: float
 
     def __post_init__(self):
+        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         _check_probabilities(self.as_array())
         # written so that NaN fails it too
         marginals = (self.p_pp + self.p_pm, self.p_pp + self.p_mp)
@@ -148,10 +161,6 @@ class JointDistribution2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
-    @property
-    def expected_product(self) -> float:
-        return self.p_pp + self.p_mm - self.p_pm - self.p_mp
 
 
 def singlet_joint(theta: float) -> JointDistribution2:

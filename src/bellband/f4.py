@@ -22,9 +22,11 @@ import numpy as np
 
 # feasible_band stays importable from this module for existing callers
 from .band import band_limits, feasible_band  # noqa: F401
-from .core import BAND_TOL, AngleTriple, _integer, grid_points, q_plus_points, singlet_correlation
+from .core import (
+    BAND_TOL, AngleTriple, _check_seed, _integer, _real, grid_points, q_plus_points,
+    singlet_correlation,
+)
 from .errors import DomainError, GridFormatError
-from .sampling import _check_seed
 
 _DIAG_DIR = np.full(3, 1.0 / math.sqrt(3.0))
 
@@ -105,18 +107,6 @@ class F4Candidate:
             raise GridFormatError("grid values must be a flat list of JSON numbers")
         return candidate
 
-    def to_json(self) -> str:
-        if self.kind != "grid":
-            raise GridFormatError("only grid candidates serialize to a grid document")
-        return json.dumps(
-            {
-                "kind": "grid",
-                "name": self.name,
-                "resolution": self.grid_resolution,
-                "values": list(self.grid_values.ravel()),
-            }
-        )
-
     def _key(self) -> tuple:
         values = None if self.grid_values is None else self.grid_values.tobytes()
         return (self.kind, self.name, self.grid_resolution, values)
@@ -165,7 +155,7 @@ class F4Candidate:
 def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
     """One-sided finite-difference gradient at the corner of the positive
     cube, Richardson-extrapolated from steps h and h/2."""
-    h = float(h)
+    h = _real(h, "step")
     if not (0.0 < h <= 0.1):
         raise DomainError(f"step must lie in (0, 0.1], got {h}")
     steps = np.array([h / 2.0, h])
@@ -179,7 +169,7 @@ def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
 def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float:
     """Absolute deviation of the central-difference partial derivative at
     t*e_i from the forced value sin(t)."""
-    t, h = float(t), float(h)
+    t, h = _real(t, "t"), _real(h, "step")
     # 1.0 == 1, and a float index fails inside numpy
     if not isinstance(i, (int, np.integer)) or i not in (1, 2, 3):
         raise DomainError(f"axis index must be the integer 1, 2 or 3, got {i!r}")
@@ -202,7 +192,7 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 def _quotients(candidate, directions: np.ndarray, t: float) -> np.ndarray:
     """(F(t*v) + 1) / t^2 for each row v of ``directions`` scaled to unit length."""
-    t = float(t)
+    t = _real(t, "step")
     if not (0.0 < t <= 0.5):
         raise DomainError(f"step must lie in (0, 0.5], got {t}")
     v = directions / _norms(directions)[:, None]
@@ -293,7 +283,7 @@ def _ball_points(radius: float, count: int, seed: int) -> np.ndarray:
 def quadratic_fit(candidate, radius: float, samples: int, seed: int = 0) -> QuadraticFit:
     """Fit a quadratic model to the candidate over quasi-random points in
     the ball of the given radius intersected with the positive cube."""
-    radius = float(radius)
+    radius = _real(radius, "radius")
     if not (0.0 < radius <= 0.3):
         raise DomainError(f"radius must lie in (0, 0.3], got {radius}")
     samples = _integer(samples, "samples")

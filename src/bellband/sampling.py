@@ -16,20 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_probabilities, _integer, _real, singlet_joint
+from .core import _check_probabilities, _check_seed, _finite, _integer, singlet_joint
 from .errors import DomainError, ShapeError
 
 #: draws per sub-seeded chunk
 CHUNK = 1 << 16
-
-_U64_MAX = (1 << 64) - 1
-
-
-def _check_seed(seed: int) -> int:
-    seed = _integer(seed, "seed")
-    if not (0 <= seed <= _U64_MAX):
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
 
 
 def _check_count(n: int) -> int:
@@ -95,10 +86,7 @@ def sample_lhv_pairs(theta_a: float, theta_b: float, n: int, seed: int = 0):
     with sign(0) := +1.  The model correlation is the sawtooth
     -1 + 2|theta_a - theta_b|/pi for angle gaps up to pi.
     """
-    theta_a, theta_b = _real(theta_a, "theta_a"), _real(theta_b, "theta_b")
-    for name, v in (("theta_a", theta_a), ("theta_b", theta_b)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v}")
+    theta_a, theta_b = _finite(theta_a, "theta_a"), _finite(theta_b, "theta_b")
 
     def draw(rng, m):
         lam = rng.random(m) * (2.0 * math.pi)

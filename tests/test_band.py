@@ -17,7 +17,8 @@ from bellband import (
     feasible_distribution,
     lp_band,
 )
-from bellband.core import BAND_TOL, ROUND_TOL
+from bellband.band import band_limits
+from bellband.core import BAND_TOL, ROUND_TOL, grid_points
 
 correlations = st.floats(-1, 1, allow_nan=False)
 CORRELATIONS = JointDistribution4.CORRELATIONS
@@ -35,6 +36,20 @@ class TestInterval:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             Interval(0.5, 0.4)
+
+    @pytest.mark.parametrize("lo, hi", [(-5, 5), (-1.5, 0.0), (0.0, 1.0 + 1e-15)])
+    def test_outside_unit_interval_rejected(self, lo, hi):
+        with pytest.raises(DomainError, match=r"^interval \[.*\] is not within \[-1, 1\]$"):
+            Interval(lo, hi)
+
+    def test_every_band_map_node_fits(self):
+        # band_limits clips to +-1 and collapses a rounding gap to a midpoint
+        # between the two, so the range check rejects no feasible_band
+        lo, hi = band_limits(grid_points(50))
+        assert np.all((-1.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+        assert Interval(-1.0, 1.0).width == 2.0
+        for pair in zip(lo.tolist(), hi.tolist()):
+            Interval(*pair)
 
     def test_width_and_midpoint(self):
         band = Interval(-0.25, 0.75)

@@ -453,7 +453,8 @@ def test_cli_import_leaves_out_scipy_stats():
 def test_analyze_runs_without_scipy(tmp_path):
     # analyze draws its quasi-random points with numpy alone
     grid = tmp_path / "grid.json"
-    grid.write_text(F4Candidate.from_grid(3, np.linspace(-1.0, 1.0, 27), name="g").to_json())
+    doc = {"kind": "grid", "name": "g", "resolution": 3, "values": np.linspace(-1.0, 1.0, 27).tolist()}
+    grid.write_text(json.dumps(doc))
     candidates = [["--candidate", kind] for kind in BUILTIN_KINDS]
     candidates.append(["--candidate", "grid", "--candidate-file", str(grid)])
     runs = [["analyze", *c, "--seed", str(s)] for c in candidates for s in (0, 2**64 - 1)]
@@ -698,7 +699,8 @@ _CANDIDATES = ["product", "locality", "product-diagonal", "grid", "other"]
 def fuzz_paths(tmp_path_factory):
     """Files for the argv fuzz: inputs good and bad, and places to write."""
     root = tmp_path_factory.mktemp("fuzz")
-    grid = F4Candidate.from_grid(3, F4Candidate.builtin("product").values(grid_points(3))).to_json()
+    values = F4Candidate.builtin("product").values(grid_points(3)).tolist()
+    grid = json.dumps({"kind": "grid", "name": "grid", "resolution": 3, "values": values})
     files = {
         "grid.json": grid,
         "truncated.json": grid[: len(grid) // 2],

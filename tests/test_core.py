@@ -12,11 +12,13 @@ from bellband import (
     CorrelationVector,
     DomainError,
     F4Candidate,
+    Interval,
     JointDistribution2,
     JointDistribution4,
     ShapeError,
     Violation,
     as_outcomes,
+    axis_derivative_check,
     band_map,
     boole_check,
     contradiction_report,
@@ -24,6 +26,7 @@ from bellband import (
     empirical_correlation,
     feasible_band,
     feasible_distribution,
+    gradient_at_origin,
     inequality_scan,
     lp_band,
     quadratic_fit,
@@ -33,8 +36,8 @@ from bellband import (
     singlet_joint,
     twisted_malus,
 )
-from bellband.core import grid_points
-from bellband.sampling import _check_seed
+from bellband.band import band_limits
+from bellband.core import _check_seed, grid_points, q_plus_points
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -53,12 +56,6 @@ class TestTwistedMalus:
         assert twisted_malus(theta + 2 * math.pi) == pytest.approx(
             twisted_malus(theta), abs=1e-9
         )
-
-
-class TestAngleTriple:
-    def test_theta4_is_derived(self):
-        t = AngleTriple(1.0, 0.25, 0.5)
-        assert t.theta4 == 1.0 - (0.25 + 0.5)
 
 
 class TestSingletJoint:
@@ -80,7 +77,8 @@ class TestSingletJoint:
         rng = np.random.default_rng(2024)
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=1000):
             d = singlet_joint(theta)
-            assert abs(d.expected_product - twisted_malus(theta)) <= 1e-12
+            expected_product = d.p_pp + d.p_mm - d.p_pm - d.p_mp
+            assert abs(expected_product - twisted_malus(theta)) <= 1e-12
 
     @pytest.mark.parametrize(
         "p",
@@ -217,30 +215,96 @@ class TestIntegerArguments:
 
 
 #: every entry point that takes a real number: a call of it on that argument,
-#: and the argument's name in the message
+#: the argument's name in the message, and a valid value
 REAL_ARGUMENTS = {
-    "lp_band_c1": (lambda v: lp_band(v, 0, 0), "c1"),
-    "lp_band_c3": (lambda v: lp_band(0, 0, v), "c3"),
-    "lhv_theta_a": (lambda v: sample_lhv_pairs(v, 0, 3), "theta_a"),
-    "lhv_theta_b": (lambda v: sample_lhv_pairs(0, v, 3), "theta_b"),
-    "feasible_distribution_f": (lambda v: feasible_distribution(0, 0, 0, v), "f"),
+    "lp_band_c1": (lambda v: lp_band(v, 0, 0), "c1", 0.5),
+    "lp_band_c3": (lambda v: lp_band(0, 0, v), "c3", 0.5),
+    "lhv_theta_a": (lambda v: sample_lhv_pairs(v, 0, 3), "theta_a", 0.5),
+    "lhv_theta_b": (lambda v: sample_lhv_pairs(0, v, 3), "theta_b", 0.5),
+    "feasible_distribution_f": (lambda v: feasible_distribution(0, 0, 0, v), "f", 0.5),
+    "twisted_malus": (lambda v: twisted_malus(v), "angle", 0.5),
+    "singlet_joint": (lambda v: singlet_joint(v), "angle", 0.5),
+    "singlet_pairs_theta": (lambda v: sample_singlet_pairs(v, 3, 1), "angle", 0.5),
+    "AngleTriple_theta1": (lambda v: AngleTriple(v, 0, 0), "theta1", 0.5),
+    "AngleTriple_theta2": (lambda v: AngleTriple(0, v, 0), "theta2", 0.5),
+    "AngleTriple_theta3": (lambda v: AngleTriple(0, 0, v), "theta3", 0.5),
+    "CorrelationVector_c1": (lambda v: CorrelationVector(v, 0, 0, 0), "c1", 0.5),
+    "CorrelationVector_c2": (lambda v: CorrelationVector(0, v, 0, 0), "c2", 0.5),
+    "CorrelationVector_c3": (lambda v: CorrelationVector(0, 0, v, 0), "c3", 0.5),
+    "CorrelationVector_c4": (lambda v: CorrelationVector(0, 0, 0, v), "c4", 0.5),
+    # the other three entries complete uniform marginals around v = 0.5
+    "JointDistribution2_p_pp": (lambda v: JointDistribution2(v, 0, 0, 0.5), "p_pp", 0.5),
+    "JointDistribution2_p_pm": (lambda v: JointDistribution2(0, v, 0.5, 0), "p_pm", 0.5),
+    "JointDistribution2_p_mp": (lambda v: JointDistribution2(0, 0.5, v, 0), "p_mp", 0.5),
+    "JointDistribution2_p_mm": (lambda v: JointDistribution2(0.5, 0, 0, v), "p_mm", 0.5),
+    "Interval_lo": (lambda v: Interval(v, 1), "lo", 0.5),
+    "Interval_hi": (lambda v: Interval(0, v), "hi", 0.5),
+    "gradient_at_origin_h": (lambda v: gradient_at_origin(PRODUCT, v), "step", 0.05),
+    "axis_derivative_t": (lambda v: axis_derivative_check(PRODUCT, v, 1), "t", 0.5),
+    "axis_derivative_h": (lambda v: axis_derivative_check(PRODUCT, 1.0, 1, v), "step", 0.5),
+    "direction_quotients_t": (lambda v: direction_quotients(PRODUCT, v, 8), "step", 0.5),
+    "quadratic_fit_radius": (lambda v: quadratic_fit(PRODUCT, v, 10), "radius", 0.25),
 }
 
 
 @pytest.mark.parametrize("entry", REAL_ARGUMENTS)
 class TestRealArguments:
     # each value once passed, or skipped, the check and then raised a bare
-    # TypeError or ValueError where it was used
+    # TypeError, ValueError or numpy UFuncTypeError where it was used
     @pytest.mark.parametrize("value", [None, "x", [0.5]], ids=["None", "x", "list"])
     def test_non_numbers_rejected(self, entry, value):
-        call, name = REAL_ARGUMENTS[entry]
+        call, name, _ = REAL_ARGUMENTS[entry]
         with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
             call(value)
 
     def test_computed_with_the_checked_value(self, entry):
-        call, _ = REAL_ARGUMENTS[entry]
-        np.testing.assert_equal(call("0.5"), call(0.5))
+        # value types built from "0.5" compare equal to those built from 0.5
+        call, _, good = REAL_ARGUMENTS[entry]
+        np.testing.assert_equal(call(str(good)), call(good))
 
+
+def test_first_bad_angle_is_reported_first():
+    with pytest.raises(DomainError, match="^theta_a must be finite, got nan$"):
+        sample_lhv_pairs(math.nan, "x", 3)
+
+
+@pytest.mark.parametrize(
+    "call", [q_plus_points, band_limits, PRODUCT.values], ids=["q_plus_points", "band_limits", "values"]
+)
+def test_non_numeric_triples_rejected(call):
+    # numpy's own ValueError once escaped from the conversion
+    with pytest.raises(DomainError, match="^triples must be real numbers: could not convert"):
+        call([[0.5, "x", 0.5]])
+    np.testing.assert_equal(call([["0.5", "1", "2"]]), call([[0.5, 1.0, 2.0]]))
+
+
+def _converts_an_argument(node, params) -> bool:
+    """Whether ``node`` is float() of a parameter, of a getattr or of a self field."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float" and node.args):
+        return False
+    arg = node.args[0]
+    return (
+        (isinstance(arg, ast.Name) and arg.id in params)
+        or (isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "getattr")
+        or (isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self")
+    )
+
+
+def test_only_core_converts_a_real_argument():
+    # core._real and core._finite hold the rule, so a bad argument raises
+    # DomainError naming it wherever it enters
+    found = []
+    for path in sorted(Path(bellband.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func) if _converts_an_argument(node, params)
+                ]
+    assert found == []
 
 UNIFORM4 = JointDistribution4(np.full(16, 1.0 / 16.0))
 #: every exported value type: a build of it from an integer k, where equal k

@@ -86,15 +86,15 @@ class TestCandidates:
                 grid.grid_values[i, 0, 0], abs=1e-12
             )
 
-    def test_grid_json_round_trip(self):
-        grid = banded_grid(3, seed=1)
-        clone = F4Candidate.from_json(grid.to_json())
-        theta = AngleTriple(1.0, 2.0, 0.5)
-        assert clone.evaluate(theta) == grid.evaluate(theta)
+    def test_grid_json_document_equals_from_grid(self):
+        values = [-1, -0.5, 0, 0.5, 1, 0.25, -0.25, 0.125]
+        doc = json.dumps({"kind": "grid", "name": "g", "resolution": 2, "values": values})
+        assert F4Candidate.from_json(doc) == F4Candidate.from_grid(2, values, name="g")
+        assert F4Candidate.from_json(doc.encode()) == F4Candidate.from_grid(2, values, name="g")
 
     def test_value_equality_and_hash(self):
         grid = banded_grid(3, seed=1)
-        clone = F4Candidate.from_json(grid.to_json())
+        clone = F4Candidate.from_grid(3, grid.grid_values.tolist(), name=grid.name)
         assert clone == grid and hash(clone) == hash(grid)
         assert banded_grid(3, seed=2) != grid
         assert F4Candidate.builtin("product") == F4Candidate.builtin("product")
@@ -137,8 +137,6 @@ class TestCandidates:
                      "unknown candidate kind 'cubic'", id="unknown-kind"),
         pytest.param(lambda: F4Candidate.builtin("nope"),
                      "unknown builtin candidate 'nope'", id="unknown-builtin"),
-        pytest.param(lambda: F4Candidate.builtin("product").to_json(),
-                     "only grid candidates serialize", id="builtin-to-json"),
         pytest.param(lambda: F4Candidate.from_json('{"kind": "grid", "resolution": 2}'),
                      "grid document is missing field 'values'", id="no-values"),
     ],
