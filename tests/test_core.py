@@ -258,7 +258,7 @@ class TestRealArguments:
             call(value)
 
     def test_computed_with_the_checked_value(self, entry):
-        # value types built from "0.5" compare equal to those built from 0.5
+        # a value type built from "0.5" compares equal to one built from 0.5
         call, _, good = REAL_ARGUMENTS[entry]
         np.testing.assert_equal(call(str(good)), call(good))
 
