@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -361,10 +362,26 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, and its subcommands' parsers, with a usage error
+    on one stderr line and no usage block.  A token such as "-5e-1",
+    "-inf" or "-nan" after a flag is its value, as with "--flag=value";
+    argparse alone reads only "-5" and "-.5" as negative numbers, and the
+    rest as unknown options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse matches this at the start of each token that begins with "-"
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once: the grammar is fixed."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellband",
         description="CHSH band and correlation-regularity toolkit",
     )

@@ -199,16 +199,41 @@ def _quotients(candidate, directions: np.ndarray, t: float) -> np.ndarray:
     return (candidate.values(t * v) + 1.0) / (t * t)
 
 
+#: how many seeds' Halton draws ``_halton`` keeps
+_HALTON_SEEDS = 4
+# seed -> its longest draw so far, the least recently used seed first
+_halton_draws: dict = {}
+
+
 def _halton(seed: int, n: int) -> np.ndarray:
-    """The first n points, shape (n, 3), of Owen's scrambled Halton
-    sequence in bases 2, 3 and 5 (A. B. Owen, arXiv:1706.02808), bit for
-    bit those of ``stats.qmc.Halton(d=3, scramble=True, seed=seed)``.
+    """The first n points, shape (n, 3) and read-only, of Owen's scrambled
+    Halton sequence in bases 2, 3 and 5 (A. B. Owen, arXiv:1706.02808),
+    bit for bit those of ``stats.qmc.Halton(d=3, scramble=True, seed=seed)``.
+
+    A point does not depend on n, so each seed's longest draw is kept, for
+    the ``_HALTON_SEEDS`` most recently used seeds, and a shorter draw is
+    its prefix.
+    """
+    seed = _check_seed(seed)
+    points = _halton_draws.pop(seed, None)
+    if points is None or len(points) < n:
+        points = _draw_halton(seed, n)
+        points.flags.writeable = False
+    _halton_draws[seed] = points
+    if len(_halton_draws) > _HALTON_SEEDS:
+        # the least recently used seed; another thread may have dropped it
+        _halton_draws.pop(next(iter(_halton_draws)), None)
+    return points[:n]
+
+
+def _draw_halton(seed: int, n: int) -> np.ndarray:
+    """The first n points of ``_halton``, computed.
 
     Coordinate d of point i adds ``terms[j, digit j of i]`` in order over
     the places j; a place whose power of the base reaches n has digit 0
     at every point, so it adds its constant ``terms[j, 0]``.
     """
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(seed)
     points = np.zeros((3, n))
     for column, base in zip(points, (2, 3, 5)):
         # one permutation of the digits per place whose weight base**-(j+1)

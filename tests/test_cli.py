@@ -610,16 +610,72 @@ class TestDumps:
             cli.dumps({"value": [value]})
 
 
+def run_exit(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr; a usage error's too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
 class TestUsageErrors:
+    """A usage error exits 2 with one stderr line and no usage block."""
+
     def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        code, out, err = run_exit(capsys, ["frobnicate"])
+        assert code == 2 and out == ""
+        assert err.startswith("bellband: error: argument command: invalid choice: 'frobnicate'")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["band", "--theta1", "0"])
-        assert exc.value.code == 2
+        code, out, err = run_exit(capsys, ["band", "--theta1", "0"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "bellband band: error: the following arguments are required: --theta2, --theta3\n"
+        )
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_command_without_its_flags(self, capsys, command):
+        code, out, err = run_exit(capsys, [command])
+        assert code == 2 and out == ""
+        assert err.startswith(f"bellband {command}: error: the following arguments are required: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_bad_choice(self, capsys):
+        code, out, err = run_exit(capsys, ["analyze", "--candidate", "other"])
+        assert code == 2 and out == ""
+        assert err.startswith("bellband analyze: error: argument --candidate: invalid choice: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_keeps_its_usage_block(self, capsys):
+        code, out, err = run_exit(capsys, ["band", "-h"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: bellband band [-h] --theta1 THETA1")
+
+
+#: every flag that takes a real number
+_REAL_FLAGS = [flag for flag, keywords in cli._FLAGS.items() if keywords.get("type") is float]
+#: a valid value of each flag, for the flags a command needs beside the one tried
+_VALID = {"--theta": "1", "--theta-a": "0", "--theta-b": "1.2", "--theta1": "2.3",
+          "--theta2": "0.7", "--theta3": "0.7", "--f": "0", "--n": "10",
+          "--candidate": "product", "--resolution": "3", "--c1": "0", "--c2": "0", "--c3": "0"}
+
+
+@pytest.mark.parametrize("value", ["-5e-1", "-1E-3", "-inf", "-nan"])
+@pytest.mark.parametrize("flag", _REAL_FLAGS)
+def test_negative_real_as_its_own_token(tmp_path, capsys, flag, value):
+    # argparse alone reads only "-5" and "-.5" as negative numbers
+    command, flags = next((c, f) for c, (_, _, f) in cli._COMMANDS.items() if flag in f)
+    argv = [command]
+    for other in flags:
+        if other == "--out":
+            argv += [other, str(tmp_path / "out.csv")]
+        elif other != flag and cli._FLAGS[other].get("required"):
+            argv += [other, _VALID[other]]
+    separate = run_exit(capsys, [*argv, flag, value])
+    assert separate == run_exit(capsys, [*argv, f"{flag}={value}"])
+    assert "expected one argument" not in separate[2]
 
 
 class TestParserReuse:
@@ -684,9 +740,10 @@ class TestDeterminism:
         assert float(format(lo, ".17g")) == lo
 
 
-# argv fuzzing: each flag takes its value as "--flag=value", so that argparse
-# reads "-1" and "-inf" as values, not as options.  The first value of each
-# list is a valid one, drawn half the time so that whole commands succeed too.
+# argv fuzzing: each flag takes its value as "--flag=value" or as the next
+# token, which must mean the same even for "-1e308" and "-inf".  The first
+# value of each list is a valid one, drawn half the time so that whole
+# commands succeed too.
 _FLOATS = ["0.5", "nan", "inf", "-inf", "0.0", "-0.0", "1e308", "-1e308", "1", "-1", "3",
            str(10**30), "abc", ""]
 _COUNTS = ["1000", "-1", "0", "1", str(-(10**30)), "1e3", "nan", "abc"]
@@ -764,9 +821,11 @@ def test_argv_fuzz(fuzz_paths, command, data):
     for flag, values, required in _fuzz_specs(*fuzz_paths)[command]:
         if not (required or data.draw(st.booleans())):
             continue
-        if values is not None:
-            flag += "=" + data.draw(st.one_of(st.just(values[0]), st.sampled_from(values)))
-        argv.append(flag)
+        if values is None:
+            argv.append(flag)
+            continue
+        value = data.draw(st.one_of(st.just(values[0]), st.sampled_from(values)))
+        argv += [flag, value] if data.draw(st.booleans()) else [f"{flag}={value}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -782,3 +841,5 @@ def test_argv_fuzz(fuzz_paths, command, data):
         assert out == "", argv
     if code == 1:
         assert err.startswith("bellband: error: ") and err.count("\n") == 1, (argv, err)
+    if code == 2:
+        assert err.startswith(f"bellband {command}: error: ") and err.count("\n") == 1, (argv, err)

@@ -17,7 +17,9 @@ from bellband import (
     inequality_scan,
     quadratic_fit,
 )
-from bellband.f4 import _ball_points, _halton, _quotients
+from bellband import f4
+from bellband.core import _check_seed
+from bellband.f4 import BUILTIN_KINDS, _ball_points, _halton, _quotients
 
 PRODUCT = F4Candidate.builtin("product")
 
@@ -181,7 +183,15 @@ def test_halton_seed_outside_u64_rejected(probe, seed):
         probe(F4Candidate.builtin("product"), seed)
 
 
+def cold_halton(seed, n):
+    """_halton(seed, n) computed afresh, on an emptied memo."""
+    f4._halton_draws.clear()
+    return _halton(seed, n)
+
+
 class TestHalton:
+    """The computation itself: every draw here is made on an empty memo."""
+
     SEEDS = [0, 1, 2, 7, 708, 2**32, 2**63, 2**64 - 1]
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -193,7 +203,7 @@ class TestHalton:
         qmc = pytest.importorskip("scipy.stats").qmc
         engine = qmc.Halton(d=3, scramble=True, seed=seed)
         expected = np.concatenate([engine.random(k) for k in draws])
-        points = _halton(seed, sum(draws))
+        points = cold_halton(seed, sum(draws))
         assert points.shape == expected.shape
         assert points.tobytes() == expected.tobytes()
 
@@ -214,18 +224,83 @@ class TestHalton:
         ],
     )
     def test_first_points_pinned(self, seed, first):
-        assert [[x.hex() for x in row] for row in _halton(seed, 3).tolist()] == first
+        assert [[x.hex() for x in row] for row in cold_halton(seed, 3).tolist()] == first
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_prefixes_hold_the_same_points(self, seed):
-        points = _halton(seed, 4097)
+        points = cold_halton(seed, 4097)
         for n in (1, 2, 3, 4, 5, 9, 26, 125, 126, 4096):
-            assert _halton(seed, n).tobytes() == points[:n].tobytes()
+            assert cold_halton(seed, n).tobytes() == points[:n].tobytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_base_2_coordinates_are_distinct(self, seed):
         # so at most one point is 0, which _cone_directions relies on
-        assert np.unique(_halton(seed, 4096)[:, 0]).size == 4096
+        assert np.unique(cold_halton(seed, 4096)[:, 0]).size == 4096
+
+
+class TestHaltonMemo:
+    """_halton keeps each recent seed's longest draw and serves its prefixes."""
+
+    @pytest.mark.parametrize("seed", [0, 708, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "first, second", [(4097, 26), (26, 4097), (800, 33), (33, 800), (800, 801)]
+    )
+    def test_draw_after_another_is_the_cold_draw(self, seed, first, second):
+        f4._halton_draws.clear()
+        _halton(seed, first)
+        points = _halton(seed, second)
+        expected = cold_halton(seed, second)
+        assert points.shape == expected.shape == (second, 3)
+        assert points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 33, 800])
+    def test_draws_are_read_only(self, n):
+        f4._halton_draws.clear()
+        for points in (_halton(5, n), _halton(5, n)):
+            assert not points.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                points[0, 0] = 0.5
+
+    def test_keeps_the_most_recent_seeds_only(self):
+        f4._halton_draws.clear()
+        for seed in range(3 * f4._HALTON_SEEDS):
+            _halton(seed, 5)
+            assert len(f4._halton_draws) <= f4._HALTON_SEEDS
+        recent = list(range(2 * f4._HALTON_SEEDS, 3 * f4._HALTON_SEEDS))
+        assert list(f4._halton_draws) == recent
+        # a seed used again is the most recent, so the next new seed evicts another
+        _halton(recent[0], 5)
+        _halton(2**64 - 1, 5)
+        assert list(f4._halton_draws) == [*recent[2:], recent[0], 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, "3", None, [1]], ids=repr)
+    def test_bad_seed_is_rejected_and_not_kept(self, seed):
+        f4._halton_draws.clear()
+        with pytest.raises(DomainError) as expected:
+            _check_seed(seed)
+        with pytest.raises(DomainError) as raised:
+            _halton(seed, 5)
+        assert str(raised.value) == str(expected.value)
+        assert f4._halton_draws == {}
+
+    @pytest.mark.parametrize("kind", [*BUILTIN_KINDS, "grid"])
+    def test_report_does_not_depend_on_the_memo(self, kind):
+        candidate = banded_grid(5, 3) if kind == "grid" else F4Candidate.builtin(kind)
+        seeds = [0, 7, 2**64 - 1, *range(100, 100 + f4._HALTON_SEEDS)]
+
+        def report(seed):
+            return json.dumps(contradiction_report(candidate, seed).to_dict())
+
+        cold = {}
+        for seed in seeds:
+            f4._halton_draws.clear()
+            cold[seed] = report(seed)
+        # warm: the same seed again at once
+        for seed in seeds:
+            assert report(seed) == report(seed) == cold[seed]
+        # interleaved, with more seeds than the memo keeps
+        for seed in seeds[::-1] + seeds[::2] + seeds:
+            assert report(seed) == cold[seed]
 
 
 class TestGradientAtOrigin:
