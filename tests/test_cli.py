@@ -656,10 +656,10 @@ class TestUsageErrors:
 
 #: every flag that takes a real number
 _REAL_FLAGS = [flag for flag, keywords in cli._FLAGS.items() if keywords.get("type") is float]
-#: a valid value of each flag, for the flags a command needs beside the one tried
+#: a valid value of each flag that a command taking a real flag requires
 _VALID = {"--theta": "1", "--theta-a": "0", "--theta-b": "1.2", "--theta1": "2.3",
-          "--theta2": "0.7", "--theta3": "0.7", "--f": "0", "--n": "10",
-          "--candidate": "product", "--resolution": "3", "--c1": "0", "--c2": "0", "--c3": "0"}
+          "--theta2": "0.7", "--theta3": "0.7", "--n": "10", "--c1": "0", "--c2": "0",
+          "--c3": "0"}
 
 
 @pytest.mark.parametrize("value", ["-5e-1", "-1E-3", "-inf", "-nan"])
