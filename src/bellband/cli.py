@@ -367,7 +367,13 @@ class _Parser(argparse.ArgumentParser):
     on one stderr line and no usage block.  A token such as "-5e-1",
     "-inf" or "-nan" after a flag is its value, as with "--flag=value";
     argparse alone reads only "-5" and "-.5" as negative numbers, and the
-    rest as unknown options."""
+    rest as unknown options.
+
+    This replaces argparse's private ``_negative_number_matcher``, which
+    ``_parse_optional`` reads; the argument groups made by ``__init__`` keep
+    the old one, which only checks that no option string looks like a
+    number.  ``test_negative_real_as_its_own_token`` in tests/test_cli.py
+    fails if a Python release stops reading it."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)

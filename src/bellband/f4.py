@@ -199,10 +199,10 @@ def _quotients(candidate, directions: np.ndarray, t: float) -> np.ndarray:
     return (candidate.values(t * v) + 1.0) / (t * t)
 
 
-#: how many seeds' Halton draws ``_halton`` keeps
-_HALTON_SEEDS = 4
-# seed -> its longest draw so far, the least recently used seed first
-_halton_draws: dict = {}
+#: the longest draw ``_halton`` keeps, in points (96 KB): a report draws 800
+_HALTON_KEEP = 4096
+# (seed, its longest draw of at most _HALTON_KEEP points so far)
+_halton_kept = (None, None)
 
 
 def _halton(seed: int, n: int) -> np.ndarray:
@@ -210,19 +210,17 @@ def _halton(seed: int, n: int) -> np.ndarray:
     Halton sequence in bases 2, 3 and 5 (A. B. Owen, arXiv:1706.02808),
     bit for bit those of ``stats.qmc.Halton(d=3, scramble=True, seed=seed)``.
 
-    A point does not depend on n, so each seed's longest draw is kept, for
-    the ``_HALTON_SEEDS`` most recently used seeds, and a shorter draw is
-    its prefix.
+    A point does not depend on n, so the last seed's longest draw of at
+    most ``_HALTON_KEEP`` points is kept, and a shorter draw is its prefix.
     """
+    global _halton_kept
     seed = _check_seed(seed)
-    points = _halton_draws.pop(seed, None)
-    if points is None or len(points) < n:
+    kept_seed, points = _halton_kept
+    if kept_seed != seed or len(points) < n:
         points = _draw_halton(seed, n)
         points.flags.writeable = False
-    _halton_draws[seed] = points
-    if len(_halton_draws) > _HALTON_SEEDS:
-        # the least recently used seed; another thread may have dropped it
-        _halton_draws.pop(next(iter(_halton_draws)), None)
+        if n <= _HALTON_KEEP:
+            _halton_kept = (seed, points)
     return points[:n]
 
 

@@ -185,7 +185,7 @@ def test_halton_seed_outside_u64_rejected(probe, seed):
 
 def cold_halton(seed, n):
     """_halton(seed, n) computed afresh, on an emptied memo."""
-    f4._halton_draws.clear()
+    f4._halton_kept = (None, None)
     return _halton(seed, n)
 
 
@@ -239,14 +239,14 @@ class TestHalton:
 
 
 class TestHaltonMemo:
-    """_halton keeps each recent seed's longest draw and serves its prefixes."""
+    """_halton keeps the last seed's longest short draw and serves its prefixes."""
 
     @pytest.mark.parametrize("seed", [0, 708, 2**64 - 1])
     @pytest.mark.parametrize(
         "first, second", [(4097, 26), (26, 4097), (800, 33), (33, 800), (800, 801)]
     )
     def test_draw_after_another_is_the_cold_draw(self, seed, first, second):
-        f4._halton_draws.clear()
+        f4._halton_kept = (None, None)
         _halton(seed, first)
         points = _halton(seed, second)
         expected = cold_halton(seed, second)
@@ -255,50 +255,58 @@ class TestHaltonMemo:
 
     @pytest.mark.parametrize("n", [1, 33, 800])
     def test_draws_are_read_only(self, n):
-        f4._halton_draws.clear()
+        f4._halton_kept = (None, None)
         for points in (_halton(5, n), _halton(5, n)):
             assert not points.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 points[0, 0] = 0.5
 
-    def test_keeps_the_most_recent_seeds_only(self):
-        f4._halton_draws.clear()
-        for seed in range(3 * f4._HALTON_SEEDS):
-            _halton(seed, 5)
-            assert len(f4._halton_draws) <= f4._HALTON_SEEDS
-        recent = list(range(2 * f4._HALTON_SEEDS, 3 * f4._HALTON_SEEDS))
-        assert list(f4._halton_draws) == recent
-        # a seed used again is the most recent, so the next new seed evicts another
-        _halton(recent[0], 5)
-        _halton(2**64 - 1, 5)
-        assert list(f4._halton_draws) == [*recent[2:], recent[0], 2**64 - 1]
+    def test_keeps_the_last_seed_only(self):
+        first = cold_halton(3, 800)
+        second = _halton(4, 33)
+        seed, kept = f4._halton_kept
+        assert seed == 4 and kept.tobytes() == second.tobytes()
+        assert _halton(3, 33).tobytes() == first[:33].tobytes()
+        assert f4._halton_kept[0] == 3 and len(f4._halton_kept[1]) == 33
+
+    def test_keeps_no_long_draw(self):
+        candidate = F4Candidate.builtin("product")
+        contradiction_report(candidate, seed=9)
+        kept = f4._halton_kept[1]
+        assert f4._halton_kept[0] == 9 and len(kept) == 800
+        # 4 * 2000 points are drawn, more than are kept
+        fit = quadratic_fit(candidate, radius=0.1, samples=2000, seed=9)
+        assert f4._halton_kept[1] is kept
+        f4._halton_kept = (None, None)
+        assert quadratic_fit(candidate, radius=0.1, samples=2000, seed=9) == fit
+        assert f4._halton_kept == (None, None)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, "3", None, [1]], ids=repr)
     def test_bad_seed_is_rejected_and_not_kept(self, seed):
-        f4._halton_draws.clear()
+        f4._halton_kept = (None, None)
         with pytest.raises(DomainError) as expected:
             _check_seed(seed)
         with pytest.raises(DomainError) as raised:
             _halton(seed, 5)
         assert str(raised.value) == str(expected.value)
-        assert f4._halton_draws == {}
+        assert f4._halton_kept == (None, None)
 
     @pytest.mark.parametrize("kind", [*BUILTIN_KINDS, "grid"])
     def test_report_does_not_depend_on_the_memo(self, kind):
         candidate = banded_grid(5, 3) if kind == "grid" else F4Candidate.builtin(kind)
-        seeds = [0, 7, 2**64 - 1, *range(100, 100 + f4._HALTON_SEEDS)]
+        seeds = [0, 7, 2**64 - 1, 100, 101]
 
         def report(seed):
             return json.dumps(contradiction_report(candidate, seed).to_dict())
 
         cold = {}
         for seed in seeds:
-            f4._halton_draws.clear()
+            f4._halton_kept = (None, None)
             cold[seed] = report(seed)
         # warm: the same seed again at once
         for seed in seeds:
             assert report(seed) == report(seed) == cold[seed]
-        # interleaved, with more seeds than the memo keeps
+        # interleaved
         for seed in seeds[::-1] + seeds[::2] + seeds:
             assert report(seed) == cold[seed]
 
