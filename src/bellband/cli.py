@@ -53,18 +53,6 @@ def dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _report(command: str, config: dict, result: dict) -> str:
-    return dumps(
-        {
-            "tool": "bellband",
-            "version": __version__,
-            "command": command,
-            "config": config,
-            "result": result,
-        }
-    )
-
-
 def _angle(args, value: float) -> float:
     return math.radians(value) if args.degrees else value
 
@@ -381,7 +369,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, _error_line(self.prog, message))
+
+
+def _error_line(prog: str, message: str) -> str:
+    """``prog: error: message`` on one line: a newline in it is written as \\n."""
+    return f"{prog}: error: {message}".replace("\n", "\\n") + "\n"
 
 
 @functools.cache
@@ -401,7 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # parse_args would report them as an error of the top-level parser
+        parser.exit(2, _error_line(f"bellband {args.command}",
+                                   f"unrecognized arguments: {' '.join(extras)}"))
     config = {
         k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None
     }
@@ -409,9 +406,15 @@ def main(argv=None) -> int:
         result = _COMMANDS[args.command][0](args)
     except (BellbandError, OSError, MemoryError) as exc:
         # numpy names the failed allocation; a bare MemoryError says nothing
-        print(f"bellband: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        sys.stderr.write(_error_line("bellband", str(exc) or "out of memory"))
         return 1
-    print(_report(args.command, config, result))
+    print(dumps({
+        "tool": "bellband",
+        "version": __version__,
+        "command": args.command,
+        "config": config,
+        "result": result,
+    }))
     return 0
 
 

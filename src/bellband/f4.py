@@ -166,22 +166,17 @@ def gradient_at_origin(candidate, h: float = 1e-6) -> np.ndarray:
     return (4.0 * diffs[:, 0] - diffs[:, 1]) / 3.0
 
 
-def axis_derivative_check(candidate, t: float, i: int, h: float = 1e-4) -> float:
-    """Absolute deviation of the central-difference partial derivative at
-    t*e_i from the forced value sin(t)."""
+def axis_derivative_check(candidate, t: float, h: float = 1e-4) -> np.ndarray:
+    """Absolute deviations, shape (3,), of the central-difference partial
+    derivatives at t*e_1, t*e_2 and t*e_3 from the forced value sin(t)."""
     t, h = _real(t, "t"), _real(h, "step")
-    # 1.0 == 1, and a float index fails inside numpy
-    if not isinstance(i, (int, np.integer)) or i not in (1, 2, 3):
-        raise DomainError(f"axis index must be the integer 1, 2 or 3, got {i!r}")
     if not h > 0.0:
         raise DomainError(f"step must be positive, got {h}")
     if not (h < t < math.pi - h):
         raise DomainError(f"t = {t} is too close to the boundary for step {h}")
-    points = np.zeros((2, 3))
-    points[:, i - 1] = (t - h, t + h)
-    lo, hi = candidate.values(points)
-    deriv = (hi - lo) / (2.0 * h)
-    return float(abs(deriv - math.sin(t)))
+    # rows 2i and 2i + 1 are the points (t - h) e_i and (t + h) e_i
+    lo, hi = candidate.values(np.kron(np.eye(3), [[t - h], [t + h]])).reshape(3, 2).T
+    return np.abs((hi - lo) / (2.0 * h) - math.sin(t))
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -286,8 +281,8 @@ class QuadraticFit:
 
     @property
     def max_cross_coeff(self) -> float:
-        off = np.asarray(self.c_quad)[np.triu_indices(3, k=1)]
-        return float(np.max(np.abs(off)))
+        (_, c01, c02), (_, _, c12), _ = self.c_quad
+        return float(np.max(np.abs((c01, c02, c12))))
 
 
 def _ball_points(radius: float, count: int, seed: int) -> np.ndarray:
@@ -333,20 +328,22 @@ _STEP = 1e-2
 _CROSS_KS = np.array([2.0, 5.0, 10.0, 50.0])
 
 
-def _cross_probe(candidate, i: int, j: int) -> float:
-    """Cross coefficient c_ij from mixed second differences along the
-    (0, x, kx) schedule, x = _STEP, extrapolated linearly in k."""
+def _cross_coeffs(candidate) -> np.ndarray:
+    """Cross coefficients c_01, c_02 and c_12 from mixed second differences
+    along the (0, x, kx) schedule, x = _STEP, extrapolated linearly in k;
+    the three pairs are the right-hand sides of one least-squares solve."""
     ks, x = _CROSS_KS, _STEP
-    # for each k the points x*e_i + k*x*e_j, x*e_i and k*x*e_j; then the origin
-    steps = np.zeros((3, ks.size, 3))
-    steps[[0, 1], :, i] = x
-    steps[[0, 2], :, j] = ks * x
+    # x*e_i + k*x*e_j, x*e_i and k*x*e_j for each pair (i, j) and each k
+    pair, (i, j) = np.arange(3)[:, None], np.triu_indices(3, k=1)
+    steps = np.zeros((3, 3, ks.size, 3))
+    steps[[0, 1], pair, :, i[:, None]] = x
+    steps[[0, 2], pair, :, j[:, None]] = ks * x
     values = candidate.values(np.vstack([steps.reshape(-1, 3), np.zeros(3)]))
-    f_ij, f_i, f_j = values[:-1].reshape(3, ks.size)
+    f_ij, f_i, f_j = values[:-1].reshape(3, 3, ks.size)
     estimates = (f_ij - f_i - f_j + values[-1]) / (ks * x * x)
     design = np.column_stack([np.ones(ks.size), ks])
-    coef, *_ = np.linalg.lstsq(design, estimates, rcond=None)
-    return float(coef[0])
+    coef, *_ = np.linalg.lstsq(design, estimates.T, rcond=None)
+    return coef[0]
 
 
 @dataclass(frozen=True)
@@ -399,12 +396,12 @@ def contradiction_report(candidate, seed: int = 0) -> AnalysisReport:
     """
     value_at_origin = float(candidate.values(np.zeros((1, 3)))[0])
     grad = tuple(gradient_at_origin(candidate).tolist())
-    axis_residuals = tuple(axis_derivative_check(candidate, math.pi / 4.0, i) for i in (1, 2, 3))
+    axis_residuals = tuple(axis_derivative_check(candidate, math.pi / 4.0).tolist())
     fit_radius = 0.1
     fit = quadratic_fit(candidate, radius=fit_radius, samples=200, seed=seed)
     diagonal_sum = _diagonal_coeff(candidate)
     axis_forced_sum = fit.diagonal_coeff_sum
-    probes = [_cross_probe(candidate, i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
+    probes = _cross_coeffs(candidate).tolist()
     cross_term_max = max(fit.max_cross_coeff, max(abs(p) for p in probes))
     quotients = direction_quotients(candidate, t=_STEP, n_directions=32, seed=seed)
     second_quotient_bound = float(np.max(np.abs(quotients)))

@@ -186,6 +186,14 @@ class TestOctetAndBoole:
         with pytest.raises(BellbandError):
             _read_sequence_csv(str(bad))
 
+    def test_error_naming_a_path_with_a_newline_is_one_line(self, tmp_path, capsys):
+        empty = tmp_path / "em\npty.csv"
+        empty.write_bytes(b"")
+        code = main(["boole", "--in", str(empty)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"bellband: error: {tmp_path}/em\\npty.csv is empty\n"
+
     def test_boole_without_final_newline(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
         good.write_bytes(b"a_oo,b_oo,a_bo,b_ob\n+1,-1,+1,+1\n-1,-1,+1,-1")
@@ -648,10 +656,31 @@ class TestUsageErrors:
         assert err.startswith("bellband analyze: error: argument --candidate: invalid choice: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_unrecognized_argument_names_its_subcommand(self, tmp_path, capsys, command):
+        argv = [command, *_required_flags(command, tmp_path), "--bogus"]
+        code, out, err = run_exit(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"bellband {command}: error: unrecognized arguments: --bogus\n"
+
+    def test_unrecognized_argument_with_a_newline_is_one_line(self, capsys):
+        code, out, err = run_exit(capsys, ["band", "--theta1", "0", "--theta2", "0",
+                                           "--theta3", "0", "a\nb"])
+        assert (code, out) == (2, "")
+        assert err == "bellband band: error: unrecognized arguments: a\\nb\n"
+
     def test_help_keeps_its_usage_block(self, capsys):
         code, out, err = run_exit(capsys, ["band", "-h"])
         assert code == 0 and err == ""
         assert out.startswith("usage: bellband band [-h] --theta1 THETA1")
+
+
+def _required_flags(command, tmp_path):
+    """Valid values of the flags that ``command`` requires, as argv tokens."""
+    valid = {**_VALID, "--out": str(tmp_path / "out.csv"), "--in": str(tmp_path / "in.csv"),
+             "--candidate": "product", "--resolution": "5"}
+    return [token for flag in cli._COMMANDS[command][2] if cli._FLAGS[flag].get("required")
+            for token in (flag, valid[flag])]
 
 
 #: every flag that takes a real number

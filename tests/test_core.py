@@ -240,8 +240,8 @@ REAL_ARGUMENTS = {
     "Interval_lo": (lambda v: Interval(v, 1), "lo", 0.5),
     "Interval_hi": (lambda v: Interval(0, v), "hi", 0.5),
     "gradient_at_origin_h": (lambda v: gradient_at_origin(PRODUCT, v), "step", 0.05),
-    "axis_derivative_t": (lambda v: axis_derivative_check(PRODUCT, v, 1), "t", 0.5),
-    "axis_derivative_h": (lambda v: axis_derivative_check(PRODUCT, 1.0, 1, v), "step", 0.5),
+    "axis_derivative_t": (lambda v: axis_derivative_check(PRODUCT, v), "t", 0.5),
+    "axis_derivative_h": (lambda v: axis_derivative_check(PRODUCT, 1.0, v), "step", 0.5),
     "direction_quotients_t": (lambda v: direction_quotients(PRODUCT, v, 8), "step", 0.5),
     "quadratic_fit_radius": (lambda v: quadratic_fit(PRODUCT, v, 10), "radius", 0.25),
 }

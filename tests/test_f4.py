@@ -9,6 +9,7 @@ from bellband import (
     DomainError,
     F4Candidate,
     GridFormatError,
+    QuadraticFit,
     axis_derivative_check,
     contradiction_report,
     direction_quotients,
@@ -335,25 +336,21 @@ class TestAxisDerivative:
     @pytest.mark.parametrize("kind", ["product", "locality", "product-diagonal"])
     @pytest.mark.parametrize("i", [1, 2, 3, np.int64(1), np.int32(2), np.uint8(3)])
     def test_builtin_axis_derivatives(self, kind, i):
-        residual = axis_derivative_check(F4Candidate.builtin(kind), math.pi / 3, i)
-        assert residual <= 1e-4
+        # entry i - 1 of the residuals is axis i's
+        residuals = axis_derivative_check(F4Candidate.builtin(kind), math.pi / 3)
+        assert residuals.shape == (3,)
+        assert residuals[i - 1] <= 1e-4
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
-            axis_derivative_check(F4Candidate.builtin("product"), 1e-6, 1)
+            axis_derivative_check(F4Candidate.builtin("product"), 1e-6)
         with pytest.raises(DomainError):
-            axis_derivative_check(F4Candidate.builtin("product"), math.pi, 2)
+            axis_derivative_check(F4Candidate.builtin("product"), math.pi)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
     def test_step_validation(self, h):
         with pytest.raises(DomainError, match="step must be positive"):
-            axis_derivative_check(F4Candidate.builtin("product"), 1.0, 1, h=h)
-
-    @pytest.mark.parametrize("i", [0, 4, -1, 1.0, 2.0, 3.0, np.float64(1.0), "1", None])
-    def test_axis_validation(self, i):
-        # 1.0 in (1, 2, 3) is true, but numpy cannot index with 1.0
-        with pytest.raises(DomainError, match="axis index"):
-            axis_derivative_check(F4Candidate.builtin("product"), 1.0, i)
+            axis_derivative_check(F4Candidate.builtin("product"), 1.0, h=h)
 
 
 class TestSecondQuotient:
@@ -400,6 +397,12 @@ class TestQuadraticFit:
         a = quadratic_fit(F4Candidate.builtin("product"), radius=0.1, samples=100, seed=5)
         b = quadratic_fit(F4Candidate.builtin("product"), radius=0.1, samples=100, seed=5)
         assert a.c0 == b.c0 and np.array_equal(a.c_quad, b.c_quad)
+
+    def test_max_cross_coeff_reads_the_upper_triangle(self):
+        rows = ((9.0, 1.0, -3.0), (1.0, 9.0, 2.0), (-3.0, 2.0, 9.0))
+        assert QuadraticFit(0.0, (0.0,) * 3, rows, 0.0).max_cross_coeff == 3.0
+        rows = ((0.0, 1.0, 1.0), (1.0, 0.0, math.nan), (1.0, math.nan, 0.0))
+        assert math.isnan(QuadraticFit(0.0, (0.0,) * 3, rows, 0.0).max_cross_coeff)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DomainError):
@@ -515,6 +518,24 @@ class TestContradictionReport:
         assert math.isnan(report.diagonal_sum) and math.isnan(report.jump_spread)
         assert report.flags == ("diagonal-constraint-violated", "directional-jump-detected")
         assert not report.contradiction
+
+    def test_one_values_call_per_probe(self, monkeypatch):
+        # origin, gradient, axes, fit, diagonal, cross pairs, cone directions
+        shapes, solves = [], []
+
+        class Counting:
+            name = "product"
+
+            def values(self, points):
+                shapes.append(np.shape(points))
+                return PRODUCT.values(points)
+
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+        report = contradiction_report(Counting(), seed=3)
+        assert shapes == [(1, 3), (7, 3), (6, 3), (200, 3), (2, 3), (37, 3), (33, 3)]
+        assert len(solves) == 2
+        assert report == contradiction_report(PRODUCT, seed=3)
 
     def test_grid_disclaimer(self):
         report = contradiction_report(constant_grid(resolution=3))

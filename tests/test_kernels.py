@@ -84,9 +84,37 @@ def ref_scan(candidate, resolution, tol=1e-9):
     return violations
 
 
+def ref_axis_residual(candidate, t, i, h=1e-4):
+    """One axis's central difference at t*e_i, two points a call."""
+    points = np.zeros((2, 3))
+    points[:, i - 1] = (t - h, t + h)
+    lo, hi = candidate.values(points)
+    deriv = (hi - lo) / (2.0 * h)
+    return float(abs(deriv - math.sin(t)))
+
+
+def ref_cross_probe(candidate, i, j):
+    """One pair's cross coefficient c_ij, one evaluation and one solve a pair."""
+    ks, x = f4._CROSS_KS, f4._STEP
+    steps = np.zeros((3, ks.size, 3))
+    steps[[0, 1], :, i] = x
+    steps[[0, 2], :, j] = ks * x
+    values = candidate.values(np.vstack([steps.reshape(-1, 3), np.zeros(3)]))
+    f_ij, f_i, f_j = values[:-1].reshape(3, ks.size)
+    estimates = (f_ij - f_i - f_j + values[-1]) / (ks * x * x)
+    design = np.column_stack([np.ones(ks.size), ks])
+    coef, *_ = np.linalg.lstsq(design, estimates, rcond=None)
+    return float(coef[0])
+
+
 def fuzzed_grid(resolution, seed):
     values = np.random.default_rng(seed).uniform(-1.0, 1.0, resolution ** 3)
     return F4Candidate.from_grid(resolution, values, name=f"fuzz-{seed}")
+
+
+def tabulated_product(resolution):
+    values = F4Candidate.builtin("product").values(grid_points(resolution))
+    return F4Candidate.from_grid(resolution, values, name=f"product-{resolution}")
 
 
 def bits(a):
@@ -100,6 +128,12 @@ cube_angle = st.one_of(st.sampled_from(EDGES), st.floats(0.0, math.pi, allow_nan
 triples = st.tuples(cube_angle, cube_angle, cube_angle)
 
 CANDIDATES = [F4Candidate.builtin(kind) for kind in f4.BUILTIN_KINDS] + [fuzzed_grid(6, 3)]
+# the report's probes: coarse grids put the stencil points in one cell or across several
+PROBE_CANDIDATES = [
+    *CANDIDATES[:3],
+    *(fuzzed_grid(r, r) for r in (2, 3, 10)),
+    *(tabulated_product(r) for r in (2, 3, 10)),
+]
 
 
 def sample_points():
@@ -162,6 +196,18 @@ class TestCandidateKernel:
         batched.pop("disclaimer")
         pointwise.pop("disclaimer")
         assert batched == pointwise
+
+    @pytest.mark.parametrize("candidate", PROBE_CANDIDATES, ids=lambda c: c.name)
+    def test_axis_residuals_match_one_axis_at_a_time(self, candidate):
+        for t in [math.pi / 4, *np.linspace(0.011, math.pi - 0.011, 30).tolist()]:
+            for h in (1e-4, 1e-2):
+                ref = [ref_axis_residual(candidate, t, i, h) for i in (1, 2, 3)]
+                assert bits(f4.axis_derivative_check(candidate, t, h)) == bits(ref), (t, h)
+
+    @pytest.mark.parametrize("candidate", PROBE_CANDIDATES, ids=lambda c: c.name)
+    def test_cross_coeffs_match_one_pair_at_a_time(self, candidate):
+        ref = [ref_cross_probe(candidate, i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert bits(f4._cross_coeffs(candidate)) == bits(ref)
 
     def test_row_norms_match_linalg_norm(self):
         rows = np.random.default_rng(8).random((2000, 3))
