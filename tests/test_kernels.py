@@ -3,6 +3,8 @@
 Each reference below is the scalar, ``math.cos``-based formula evaluated
 one point at a time in a Python loop.  The kernels must agree with them
 bit for bit: the arithmetic is the same, only the loop moved into numpy.
+The report's axis and cross probes are checked the same way against their
+one-axis and one-pair forms, one ``values`` call and one solve each.
 """
 
 import itertools
