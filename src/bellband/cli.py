@@ -10,11 +10,14 @@ files are CSV with cells exactly ``+1`` or ``-1`` in fixed-width rows
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -88,12 +91,28 @@ def _rows_template(n: int, k: int) -> np.ndarray:
     return np.frombuffer(row * n, dtype=np.uint8).reshape(n, k, 3)
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` opened to write over its old bytes and, if it is a regular
+    file, cut to the bytes written when the writer ends, even by an
+    exception.  Truncating on open would make ext4 (``auto_da_alloc``) flush
+    the new blocks at close; unlinking the old file would break a symlink or
+    /dev/stdout."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _write_sequence_csv(path: str, columns: dict) -> None:
     """Write equal-length +/-1 columns as a sequence file."""
     names, values = list(columns), list(columns.values())
     n = len(values[0])
     template = _rows_template(min(CHUNK, n), len(names))
-    with open(path, "wb") as fh:
+    with _output(path) as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
         for start in range(0, n, CHUNK):
             rows = template[:n - start]
@@ -276,7 +295,7 @@ def _cmd_band(args) -> dict:
 
 def _cmd_band_map(args) -> dict:
     rows = band_map(args.resolution)
-    with open(args.out, "wb") as fh:
+    with _output(args.out) as fh:
         fh.write(b"theta1,theta2,theta3,lo,hi,width\n")
         _write_table_csv(fh, rows)
     return {"out": args.out, "rows": int(rows.shape[0])}

@@ -3,15 +3,18 @@
 All samplers are deterministic functions of (parameters, seed).  Draws
 are produced in chunks of ``CHUNK``; the generator for chunk ``i`` is
 PCG64 seeded with ``SeedSequence([seed, i])``, so the output does not
-depend on how chunks are scheduled.  Each chunk is drawn straight into
-one int8 block of the sampler's k columns, so a sampler holds k bytes a
-draw plus one chunk's temporaries.
+depend on how chunks are scheduled.  The chunks are filled on a kept pool
+of at most ``min(4, os.cpu_count())`` threads, each straight into its own
+slice of one int8 block of the sampler's k columns, so a sampler holds k
+bytes a draw plus one chunk's temporaries per worker, about 1-2 MB each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,21 @@ def _check_count(n: int) -> int:
     return n
 
 
+@functools.cache
+def _pool():
+    """The thread pool that fills sampler chunks, made on first use: importing
+    concurrent.futures costs about 9 ms, which an import of the CLI should not
+    pay.  numpy's generators and ufuncs release the GIL on whole chunks."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
+
+
+# a forked child has none of the parent's worker threads, and a call on the
+# inherited pool would wait for them forever
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _sample(n: int, seed: int, k: int, draw) -> tuple:
     """The k int8 +/-1 columns of n draws.  Chunk i of the columns is
     ``draw(rng, m)``, the (k, m) values of its m draws, where rng is PCG64
@@ -39,9 +57,14 @@ def _sample(n: int, seed: int, k: int, draw) -> tuple:
     if k * n > np.iinfo(np.intp).max:
         raise DomainError(f"{n} draws of {k} columns exceed the address space")
     block = np.empty((k, n), dtype=np.int8)
-    for index, start in enumerate(range(0, n, CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+
+    def fill(start):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, start // CHUNK]))
         block[:, start:start + CHUNK] = draw(rng, min(CHUNK, n - start))
+
+    # reading every result raises the exception of a chunk whose draw failed
+    for _ in _pool().map(fill, range(0, n, CHUNK)):
+        pass
     return tuple(block)
 
 

@@ -769,6 +769,96 @@ class TestDeterminism:
         assert float(format(lo, ".17g")) == lo
 
 
+# the subcommands that write --out, at sizes of one to two sequence blocks
+_WRITERS = {
+    "simulate": ["simulate", "--theta", "1.0472", "--n", str(CHUNK + 5), "--seed", "42"],
+    "octet": ["octet", "--theta1", "1.0472", "--theta2", "1.5708", "--theta3", "2.0944",
+              "--n", "5000", "--seed", "5"],
+    "band-map": ["band-map", "--resolution", "4"],
+}
+
+
+class _FailingWriter:
+    """A file whose second write writes half its bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh, self.calls, self.written = fh, 0, 0
+
+    def write(self, data):
+        self.calls += 1
+        data = memoryview(data).cast("B")
+        if self.calls == 2:
+            data = data[:len(data) // 2]
+        self.written += self.fh.write(data)
+        if self.calls == 2:
+            raise OSError("the disk went away")
+        return len(data)
+
+
+@pytest.mark.parametrize("command", _WRITERS)
+class TestOutput:
+    """--out is written over its old bytes and cut to what was written."""
+
+    def fresh(self, tmp_path, capsys, command) -> bytes:
+        path = tmp_path / "fresh.csv"
+        assert run(capsys, *_WRITERS[command], "--out", path)[0] == 0
+        return path.read_bytes()
+
+    def test_longer_file_is_replaced(self, tmp_path, capsys, monkeypatch, command):
+        fresh = self.fresh(tmp_path, capsys, command)
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"-1," * len(fresh))
+        flags, os_open = [], os.open
+
+        def spy(path, flag, *args):
+            flags.append(flag)
+            return os_open(path, flag, *args)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run(capsys, *_WRITERS[command], "--out", old)[0] == 0
+        assert old.read_bytes() == fresh
+        # written over in place: truncating on open makes ext4 flush at close
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_symlink_is_kept(self, tmp_path, capsys, command):
+        fresh = self.fresh(tmp_path, capsys, command)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"-1," * len(fresh))
+        link.symlink_to(target)
+        assert run(capsys, *_WRITERS[command], "--out", link)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh
+
+    def test_devices(self, capsys, command):
+        code, out, err = run_exit(capsys, [*_WRITERS[command], "--out", os.devnull])
+        assert code == 0 and err == ""
+        json.loads(out)
+        code, out, err = run_exit(capsys, [*_WRITERS[command], "--out", "/dev/full"])
+        assert code == 1 and out == ""
+        assert err.startswith("bellband: error: ") and err.count("\n") == 1
+
+    def test_failed_write_leaves_its_prefix(self, tmp_path, capsys, monkeypatch, command):
+        fresh = self.fresh(tmp_path, capsys, command)
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"-1," * len(fresh))
+        output = cli._output
+        writers = []
+
+        @contextlib.contextmanager
+        def failing(path):
+            with output(path) as fh:
+                writers.append(_FailingWriter(fh))
+                yield writers[-1]
+
+        monkeypatch.setattr(cli, "_output", failing)
+        code, out, err = run_exit(capsys, [*_WRITERS[command], "--out", str(old)])
+        assert code == 1 and out == ""
+        assert err == "bellband: error: the disk went away\n"
+        # the header and half the first block of rows
+        assert fresh.index(b"\n") + 1 < writers[0].written < len(fresh)
+        assert old.read_bytes() == fresh[:writers[0].written]
+
+
 # argv fuzzing: each flag takes its value as "--flag=value" or as the next
 # token, which must mean the same even for "-1e308" and "-inf".  The first
 # value of each list is a valid one, drawn half the time so that whole

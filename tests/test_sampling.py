@@ -1,6 +1,10 @@
 import dataclasses
+import hashlib
 import math
+import multiprocessing
+import queue
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from bellband import (
     sample_octet,
     sample_singlet_pairs,
 )
+from bellband import sampling
 from bellband.core import singlet_joint
 from bellband.sampling import CHUNK, _categorical
 
@@ -334,7 +339,7 @@ def test_sum_over_one_has_an_edge_past_one():
     ],
     ids=["singlet", "lhv", "octet"],
 )
-def test_sampler_memory_is_its_columns_plus_one_chunk(sampler):
+def test_sampler_memory_is_its_columns_plus_one_chunk_per_worker(sampler):
     sampler(1)  # first-call caches are not part of the sampler's working set
     tracemalloc.start()
     try:
@@ -342,4 +347,64 @@ def test_sampler_memory_is_its_columns_plus_one_chunk(sampler):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= sum(c.nbytes for c in columns) + 2_000_000
+    # each worker of the pool holds one chunk's temporaries at a time
+    assert peak <= sum(c.nbytes for c in columns) + 2_000_000 * sampling._pool()._max_workers
+
+
+_SAMPLERS = {
+    "singlet": lambda n: sample_singlet_pairs(1.1, n, seed=7),
+    "lhv": lambda n: sample_lhv_pairs(0.3, 2.5, n, seed=7),
+    "octet": lambda n: tuple(vars(sample_octet(UNIFORM, n, seed=7)).values()),
+}
+
+
+def _digest(columns) -> str:
+    return hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, CHUNK + 1, 5 * CHUNK + 3])
+@pytest.mark.parametrize("name", _SAMPLERS)
+def test_bytes_do_not_depend_on_the_pool_size(monkeypatch, name, n):
+    pooled = _SAMPLERS[name](n)
+    with ThreadPoolExecutor(max_workers=1) as one:
+        monkeypatch.setattr(sampling, "_pool", lambda: one)
+        serial = _SAMPLERS[name](n)
+    _assert_columns_equal(serial, pooled)
+
+
+def _sample_in_child(results):
+    results.put(_digest(_SAMPLERS["octet"](3 * CHUNK)))
+
+
+# Python 3.12 warns about any fork of a process with threads; this test
+# forks one on purpose, to check that the child does not use them
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_child_forked_after_a_sampler_call_samples():
+    expected = _digest(_SAMPLERS["octet"](3 * CHUNK))  # the pool now has threads
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(target=_sample_in_child, args=(results,))
+    child.start()
+    try:
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("the forked child did not sample within 60 s")
+        child.join(timeout=60)
+        assert not child.is_alive()
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert got == expected
+    assert child.exitcode == 0
+
+
+def test_a_failing_chunk_fails_the_sampler():
+    def draw(rng, m):
+        if m < CHUNK:  # only the last, short chunk
+            raise ValueError("the last chunk's draw failed")
+        return np.ones((1, m), dtype=np.int8)
+
+    with pytest.raises(ValueError, match="last chunk's draw failed"):
+        sampling._sample(2 * CHUNK + 1, 0, 1, draw)
