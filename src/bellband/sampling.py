@@ -36,7 +36,7 @@ def _check_count(n: int) -> int:
 @functools.cache
 def _pool():
     """The thread pool that fills sampler chunks, made on first use: importing
-    concurrent.futures costs about 9 ms, which an import of the CLI should not
+    concurrent.futures costs 5-8 ms, which an import of the CLI should not
     pay.  numpy's generators and ufuncs release the GIL on whole chunks."""
     from concurrent.futures import ThreadPoolExecutor
 
@@ -44,8 +44,9 @@ def _pool():
 
 
 # a forked child has none of the parent's worker threads, and a call on the
-# inherited pool would wait for them forever
-os.register_at_fork(after_in_child=_pool.cache_clear)
+# inherited pool would wait for them forever; Windows has no fork
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _sample(n: int, seed: int, k: int, draw) -> tuple:

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
 import multiprocessing
 import queue
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -328,17 +330,15 @@ def test_sum_over_one_has_an_edge_past_one():
     assert np.cumsum(_over_one())[-2] > 1.0
 
 
-@pytest.mark.parametrize(
-    "sampler",
-    [
-        lambda n: sample_singlet_pairs(1.0, n, seed=3),
-        lambda n: sample_lhv_pairs(0.0, 2.0, n, seed=3),
-        lambda n: (lambda o: (o.a_oo, o.b_oo, o.a_bo, o.b_ob))(
-            sample_octet(UNIFORM, n, seed=3)
-        ),
-    ],
-    ids=["singlet", "lhv", "octet"],
-)
+#: each sampler as a function of n, returning its columns
+_SAMPLERS = {
+    "singlet": lambda n: sample_singlet_pairs(1.0, n, seed=3),
+    "lhv": lambda n: sample_lhv_pairs(0.0, 2.0, n, seed=3),
+    "octet": lambda n: tuple(vars(sample_octet(UNIFORM, n, seed=3)).values()),
+}
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS.values(), ids=_SAMPLERS.keys())
 def test_sampler_memory_is_its_columns_plus_one_chunk_per_worker(sampler):
     sampler(1)  # first-call caches are not part of the sampler's working set
     tracemalloc.start()
@@ -351,25 +351,39 @@ def test_sampler_memory_is_its_columns_plus_one_chunk_per_worker(sampler):
     assert peak <= sum(c.nbytes for c in columns) + 2_000_000 * sampling._pool()._max_workers
 
 
-_SAMPLERS = {
-    "singlet": lambda n: sample_singlet_pairs(1.1, n, seed=7),
-    "lhv": lambda n: sample_lhv_pairs(0.3, 2.5, n, seed=7),
-    "octet": lambda n: tuple(vars(sample_octet(UNIFORM, n, seed=7)).values()),
-}
-
-
 def _digest(columns) -> str:
     return hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest()
 
 
+class _LastChunkFirst:
+    """A pool that fills the chunks in reverse order, in the calling thread."""
+
+    def map(self, fill, starts):
+        return [fill(start) for start in reversed(starts)]
+
+
+_POOLS = {
+    "one-thread": lambda: ThreadPoolExecutor(max_workers=1),
+    # more threads than cores
+    "eight-threads": lambda: ThreadPoolExecutor(max_workers=8),
+    "last-chunk-first": lambda: contextlib.nullcontext(_LastChunkFirst()),
+}
+
+
 @pytest.mark.parametrize("n", [1, CHUNK + 1, 5 * CHUNK + 3])
 @pytest.mark.parametrize("name", _SAMPLERS)
-def test_bytes_do_not_depend_on_the_pool_size(monkeypatch, name, n):
+@pytest.mark.parametrize("pool", _POOLS.values(), ids=_POOLS.keys())
+def test_bytes_do_not_depend_on_the_pool(monkeypatch, pool, name, n):
     pooled = _SAMPLERS[name](n)
-    with ThreadPoolExecutor(max_workers=1) as one:
-        monkeypatch.setattr(sampling, "_pool", lambda: one)
-        serial = _SAMPLERS[name](n)
-    _assert_columns_equal(serial, pooled)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often
+    try:
+        with pool() as other:
+            monkeypatch.setattr(sampling, "_pool", lambda: other)
+            columns = _SAMPLERS[name](n)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_columns_equal(columns, pooled)
 
 
 def _sample_in_child(results):
