@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BAND_TOL, ROUND_TOL, AngleTriple, _real, grid_points, q_plus_points, singlet_correlation,
+    BAND_TOL, GRID_BLOCK, ROUND_TOL, AngleTriple, _real, grid_points, q_plus_points,
+    singlet_correlation,
 )
 from .errors import DomainError, InfeasibleError
 from .sampling import JointDistribution4
@@ -81,10 +82,9 @@ def band_map(resolution: int) -> np.ndarray:
     rows = np.empty((len(points), 6))
     rows[:, :3] = points
     del points
-    # one theta1 slab at a time, so the kernel's temporaries stay slab-sized
-    slab = len(rows) // int(resolution)
-    for start in range(0, len(rows), slab):
-        part = rows[start:start + slab]
+    # one block at a time, so the kernel's temporaries stay block-sized
+    for start in range(0, len(rows), GRID_BLOCK):
+        part = rows[start:start + GRID_BLOCK]
         lo, hi = band_limits(part[:, :3])
         part[:, 3] = lo
         part[:, 4] = hi

@@ -129,6 +129,25 @@ def grid_points(resolution: int) -> np.ndarray:
     return np.stack(lattice, axis=-1).reshape(-1, 3)
 
 
+#: lattice points that a walk over a grid computes at a time; a block holds
+#: the 25^3 = 15,625 nodes of a resolution-25 grid whole
+GRID_BLOCK = 1 << 14
+
+
+class _ArrayFields:
+    """The dataclass ``==`` and ``hash``, with array fields compared by dtype, shape and bytes."""
+
+    def _key(self) -> tuple:
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in vars(self).values())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _check_probabilities(p: np.ndarray) -> None:
     """Reject a probability vector with an entry below -ROUND_TOL or a sum
     more than ROUND_TOL from 1; written so that NaN fails it too."""

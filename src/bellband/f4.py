@@ -23,8 +23,8 @@ import numpy as np
 # feasible_band stays importable from this module for existing callers
 from .band import band_limits, feasible_band  # noqa: F401
 from .core import (
-    BAND_TOL, AngleTriple, _check_seed, _integer, _real, grid_points, q_plus_points,
-    singlet_correlation,
+    BAND_TOL, GRID_BLOCK, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_points,
+    q_plus_points, singlet_correlation,
 )
 from .errors import DomainError, GridFormatError
 
@@ -33,8 +33,8 @@ _DIAG_DIR = np.full(3, 1.0 / math.sqrt(3.0))
 BUILTIN_KINDS = ("locality", "product", "product-diagonal")
 
 
-@dataclass(frozen=True)
-class F4Candidate:
+@dataclass(frozen=True, eq=False)
+class F4Candidate(_ArrayFields):
     """An evaluable candidate for the unknown fourth correlation on the
     positive cube.
 
@@ -106,16 +106,6 @@ class F4Candidate:
         if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
             raise GridFormatError("grid values must be a flat list of JSON numbers")
         return candidate
-
-    def _key(self) -> tuple:
-        values = None if self.grid_values is None else self.grid_values.tobytes()
-        return (self.kind, self.name, self.grid_resolution, values)
-
-    def __eq__(self, other):
-        return isinstance(other, F4Candidate) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _interpolate(self, pts: np.ndarray) -> np.ndarray:
         """Trilinear interpolation, summing the eight corners in d1, d2, d3 order."""
@@ -459,19 +449,23 @@ class Violation:
 
 def inequality_scan(candidate, resolution: int) -> list[Violation]:
     """Scan the uniform resolution^3 grid over the positive cube for band
-    violations, and the diagonal nodes for departures from -cos(theta)."""
-    points = grid_points(resolution)
-    values = candidate.values(points)
-    lo, hi = band_limits(points)
-    forced = singlet_correlation(points[:, 0])
-    band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
-    on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
-    diagonal_bad = on_diagonal & (np.abs(values - forced) > BAND_TOL)
+    violations, and the diagonal nodes for departures from -cos(theta), in
+    blocks of ``GRID_BLOCK`` nodes, so that the temporaries stay block-sized."""
+    lattice = grid_points(resolution)
     violations = []
-    for k in np.flatnonzero(band_bad | diagonal_bad):
-        theta, value = tuple(points[k].tolist()), float(values[k])
-        if band_bad[k]:
-            violations.append(Violation(theta, "band", value, float(lo[k]), float(hi[k])))
-        if diagonal_bad[k]:
-            violations.append(Violation(theta, "diagonal", value, float(forced[k]), float(forced[k])))
+    for start in range(0, len(lattice), GRID_BLOCK):
+        points = lattice[start:start + GRID_BLOCK]
+        values = candidate.values(points)
+        lo, hi = band_limits(points)
+        forced = singlet_correlation(points[:, 0])
+        band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
+        on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
+        diagonal_bad = on_diagonal & (np.abs(values - forced) > BAND_TOL)
+        for k in np.flatnonzero(band_bad | diagonal_bad):
+            theta, value = tuple(points[k].tolist()), float(values[k])
+            if band_bad[k]:
+                violations.append(Violation(theta, "band", value, float(lo[k]), float(hi[k])))
+            if diagonal_bad[k]:
+                forced_k = float(forced[k])
+                violations.append(Violation(theta, "diagonal", value, forced_k, forced_k))
     return violations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_probabilities, _check_seed, _finite, _integer, singlet_joint
+from .core import _ArrayFields, _check_probabilities, _check_seed, _finite, _integer, singlet_joint
 from .errors import DomainError, ShapeError
 
 #: draws per sub-seeded chunk
@@ -122,8 +122,8 @@ def sample_lhv_pairs(theta_a: float, theta_b: float, n: int, seed: int = 0):
     return _sample(n, seed, 2, draw)
 
 
-@dataclass(frozen=True)
-class JointDistribution4:
+@dataclass(frozen=True, eq=False)
+class JointDistribution4(_ArrayFields):
     """Probability vector over the 16 sign patterns of
     (a_oo, b_oo, a_bo, b_ob)."""
 
@@ -144,15 +144,9 @@ class JointDistribution4:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
-    def __eq__(self, other):
-        return isinstance(other, JointDistribution4) and self.p.tobytes() == other.p.tobytes()
 
-    def __hash__(self):
-        return hash(self.p.tobytes())
-
-
-@dataclass(frozen=True)
-class OctetSequences:
+@dataclass(frozen=True, eq=False)
+class OctetSequences(_ArrayFields):
     """The four stored outcome sequences of one Bell run, read-only and of
     equal length; the identified b_bo == b_oo and a_ob == a_oo are not stored."""
 
@@ -170,15 +164,6 @@ class OctetSequences:
         n = len(self.a_oo)
         if not (len(self.b_oo) == len(self.a_bo) == len(self.b_ob) == n):
             raise ShapeError("all four sequences must have equal length")
-
-    def _key(self) -> tuple:
-        return tuple((c.dtype.str, c.shape, c.tobytes()) for c in vars(self).values())
-
-    def __eq__(self, other):
-        return isinstance(other, OctetSequences) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.a_oo)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -331,3 +332,8 @@ def test_value_types_compare_and_hash(kind):
     assert type(a).__name__ == kind and a is not b
     assert a == b and hash(a) == hash(b)
     assert a != other
+    # as with the dataclass-generated ==, a subclass's instance is another
+    # value; a NamedTuple compares as a plain tuple
+    if dataclasses.is_dataclass(a):
+        subclass = type(kind, (type(a),), {})
+        assert a != subclass(**vars(a)) and subclass(**vars(a)) != a

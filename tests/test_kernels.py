@@ -86,6 +86,34 @@ def ref_scan(candidate, resolution, tol=1e-9):
     return violations
 
 
+def whole_grid_scan(candidate, resolution, tol=1e-9):
+    """The array scan as it was before it walked the grid in blocks: every
+    array spans the whole grid."""
+    points = grid_points(resolution)
+    values = candidate.values(points)
+    lo, hi = band_limits(points)
+    forced = -np.cos(points[:, 0])
+    band_bad = ~((lo - tol <= values) & (values <= hi + tol))
+    on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
+    diagonal_bad = on_diagonal & (np.abs(values - forced) > tol)
+    violations = []
+    for k in np.flatnonzero(band_bad | diagonal_bad):
+        theta, value = tuple(points[k].tolist()), float(values[k])
+        if band_bad[k]:
+            violations.append(Violation(theta, "band", value, float(lo[k]), float(hi[k])))
+        if diagonal_bad[k]:
+            violations.append(Violation(theta, "diagonal", value, float(forced[k]), float(forced[k])))
+    return violations
+
+
+def hex_rows(violations):
+    """Violations with every float as its float.hex, so -0.0 and 0.0 differ."""
+    return [
+        (*map(float.hex, v.theta), v.kind, *map(float.hex, (v.value, v.lo, v.hi)))
+        for v in violations
+    ]
+
+
 def ref_axis_residual(candidate, t, i, h=1e-4):
     """One axis's central difference at t*e_i, two points a call."""
     points = np.zeros((2, 3))
@@ -158,7 +186,7 @@ class TestBandKernel:
         assert bits(hi) == bits([r[1] for r in ref])
 
     def test_band_map_memory_stays_near_its_output(self):
-        # theta1 slabs: the output, the lattice and one slab of temporaries
+        # the output, the lattice and one block of temporaries
         tracemalloc.start()
         try:
             rows = band_map(50)
@@ -184,6 +212,24 @@ class TestCandidateKernel:
     @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
     def test_scan_matches_reference(self, candidate):
         assert inequality_scan(candidate, 15) == ref_scan(candidate, 15)
+
+    # 25^3 nodes are one block of the scan, 26^3 are two
+    @pytest.mark.parametrize("resolution", [2, 25, 26, 50])
+    @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
+    def test_scan_matches_the_whole_grid_scan(self, candidate, resolution):
+        blocks = inequality_scan(candidate, resolution)
+        assert hex_rows(blocks) == hex_rows(whole_grid_scan(candidate, resolution))
+
+    def test_scan_memory_stays_near_the_lattice(self):
+        # the lattice of 24 bytes a node, and temporaries of one block
+        resolution = 100
+        tracemalloc.start()
+        try:
+            inequality_scan(F4Candidate.builtin("product-diagonal"), resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * resolution ** 3 + (1 << 22)
 
     @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
     def test_batched_probes_match_pointwise_evaluation(self, candidate):
