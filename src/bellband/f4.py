@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-# feasible_band stays importable from this module for existing callers
+# feasible_band's one reader here is bench/layers.py, which wraps f4.feasible_band
 from .band import band_limits, feasible_band  # noqa: F401
 from .core import (
     BAND_TOL, GRID_BLOCK, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_points,
