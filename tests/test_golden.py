@@ -45,7 +45,8 @@ NUMERIC = [
     # 200000 rows are four blocks of the sequence codec
     "octet --theta1 1 --theta2 2 --theta3 3 --n 200000 --seed 1 --out {tmp}/out.csv",
     "boole --in {in}/octet.csv",
-    "octet --theta1 60 --theta2 90 --theta3 30 --degrees --f -0.25 --n 1000 --seed 3 --out {tmp}/out.csv",
+    "octet --theta1 60 --theta2 90 --theta3 30 --degrees --f -0.25 --n 1000 --seed 3"
+    " --out {tmp}/out.csv",
     "simulate --theta 60 --degrees --n 1000 --seed 7 --out {tmp}/out.csv",
     "band-map --resolution 50 --out {tmp}/out.csv",
     "scan --candidate product --resolution 50",
@@ -111,7 +112,7 @@ def write_inputs(directory: Path) -> None:
 def outcome(command: str, inputs: Path, tmp: Path) -> tuple:
     """Run one command in process: its exit code, stdout and stderr with
     the two directories masked, and the files it left in ``tmp``."""
-    argv = command.replace("{in}", str(inputs)).replace("{tmp}", str(tmp)).split()
+    argv = [arg.replace("{in}", str(inputs)).replace("{tmp}", str(tmp)) for arg in command.split()]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
