@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BAND_TOL, GRID_BLOCK, ROUND_TOL, AngleTriple, _real, grid_points, q_plus_points,
+    BAND_TOL, GRID_BLOCK, ROUND_TOL, AngleTriple, _finite, _real, grid_points, q_plus_points,
     singlet_correlation,
 )
 from .errors import DomainError, InfeasibleError
@@ -180,7 +180,7 @@ def feasible_distribution(c1: float, c2: float, c3: float, f: float) -> JointDis
     moments (c1, c2, c3, f), built as a convex combination of the two LP
     witnesses."""
     result = lp_band(c1, c2, c3)
-    target = _real(f, "f")
+    target = _finite(f, "f")
     if not (result.min_value - BAND_TOL <= target <= result.max_value + BAND_TOL):
         raise InfeasibleError(
             f"fourth moment {f} lies outside the feasible band "
