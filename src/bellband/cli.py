@@ -33,6 +33,10 @@ from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_sca
 from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
+class _Text(str):
+    """JSON text that ``dumps`` writes as it is."""
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits."""
     if isinstance(obj, float):
@@ -52,7 +56,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return obj if isinstance(obj, _Text) else json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -316,13 +320,18 @@ def _cmd_analyze(args) -> dict:
     return report.to_dict()
 
 
+# a Violation as dumps writes it in scan's report: "%.17g" is ".17g", and a kind needs no escapes
+_VIOLATION = ('{\n      "theta": [%.17g, %.17g, %.17g],\n      "kind": "%s",\n      "value": %.17g,'
+              '\n      "lo": %.17g,\n      "hi": %.17g\n    }')
+
+
 def _cmd_scan(args) -> dict:
     violations = inequality_scan(_candidate(args), args.resolution)
+    rows = [_VIOLATION % (*v.theta, v.kind, v.value, v.lo, v.hi) for v in violations]
     return {
         "resolution": args.resolution,
         "violation_count": len(violations),
-        # a Violation's fields in order; dataclasses.asdict costs 10 us a row
-        "violations": [vars(v) for v in violations],
+        "violations": _Text("[" + ", ".join(rows) + "]"),
     }
 
 

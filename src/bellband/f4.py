@@ -455,17 +455,18 @@ def inequality_scan(candidate, resolution: int) -> list[Violation]:
     violations = []
     for start in range(0, len(lattice), GRID_BLOCK):
         points = lattice[start:start + GRID_BLOCK]
-        values = candidate.values(points)
+        values = np.asarray(candidate.values(points), dtype=float)  # Python floats below
         lo, hi = band_limits(points)
         forced = singlet_correlation(points[:, 0])
         band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
         on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
         diagonal_bad = on_diagonal & (np.abs(values - forced) > BAND_TOL)
-        for k in np.flatnonzero(band_bad | diagonal_bad):
-            theta, value = tuple(points[k].tolist()), float(values[k])
-            if band_bad[k]:
-                violations.append(Violation(theta, "band", value, float(lo[k]), float(hi[k])))
-            if diagonal_bad[k]:
-                forced_k = float(forced[k])
-                violations.append(Violation(theta, "diagonal", value, forced_k, forced_k))
+        k = np.flatnonzero(band_bad | diagonal_bad)
+        rows = zip(points[k].tolist(), values[k].tolist(), lo[k].tolist(), hi[k].tolist(),
+                   forced[k].tolist(), band_bad[k].tolist(), diagonal_bad[k].tolist())
+        for t, value, lo_k, hi_k, forced_k, is_band, is_diagonal in rows:
+            if is_band:
+                violations.append(Violation(tuple(t), "band", value, lo_k, hi_k))
+            if is_diagonal:
+                violations.append(Violation(tuple(t), "diagonal", value, forced_k, forced_k))
     return violations
