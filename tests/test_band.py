@@ -197,6 +197,12 @@ class TestFeasibleDistribution:
         with pytest.raises(InfeasibleError):
             feasible_distribution(0, 0, 0, 1.5)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fourth_moment_named(self, f):
+        # a NaN was once reported as lying outside the feasible band
+        with pytest.raises(DomainError, match=f"^f must be finite, got {f}$"):
+            feasible_distribution(0, 0, 0, f)
+
     @settings(max_examples=40, deadline=None)
     @given(correlations, correlations, correlations, st.floats(0, 1))
     def test_interpolated_moment(self, c1, c2, c3, frac):

@@ -16,11 +16,12 @@ from hypothesis.extra.numpy import arrays
 
 import bellband
 from bellband import __version__, band_map, cli
+from bellband.band import band_limits
 from bellband.chsh import octet_correlations
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
 from bellband.core import MAX_GRID_RESOLUTION, grid_points
 from bellband.errors import BellbandError
-from bellband.f4 import BUILTIN_KINDS, F4Candidate
+from bellband.f4 import BUILTIN_KINDS, F4Candidate, inequality_scan
 from bellband.sampling import CHUNK
 
 
@@ -115,6 +116,16 @@ class TestLhv:
 
 
 class TestOctetAndBoole:
+    @pytest.mark.parametrize("f", ["nan", "inf", "-inf"])
+    def test_non_finite_f_names_f(self, tmp_path, capsys, f):
+        out = tmp_path / "octet.csv"
+        code = main(["octet", "--theta1", "1", "--theta2", "2", "--theta3", "3", f"--f={f}",
+                     "--n", "10", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"bellband: error: f must be finite, got {float(f)}\n"
+        assert not out.exists()
+
     def test_octet_then_boole(self, tmp_path, capsys):
         out = tmp_path / "octet.csv"
         result = run_report(
@@ -616,6 +627,101 @@ class TestDumps:
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError, match="cannot serialize"):
             cli.dumps({"value": [value]})
+
+
+def reference_scan(args) -> dict:
+    """scan's report as it was built before the row template: each
+    Violation a dict of its fields, walked by the recursive dumps."""
+    violations = inequality_scan(cli._candidate(args), args.resolution)
+    return {
+        "resolution": args.resolution,
+        "violation_count": len(violations),
+        "violations": [vars(v) for v in violations],
+    }
+
+
+def scan_stdout(candidate, resolution: int, reference: bool = False) -> str:
+    """stdout of ``bellband scan`` at ``resolution`` with ``candidate`` in
+    place of the one its flags name, rendered by reference_scan if asked."""
+    function, *rest = cli._COMMANDS["scan"]
+    command = (reference_scan if reference else function, *rest)
+    out = io.StringIO()
+    with mock.patch.object(cli, "_candidate", lambda args: candidate), \
+            mock.patch.dict(cli._COMMANDS, scan=command), contextlib.redirect_stdout(out):
+        assert main(["scan", "--candidate", "product", "--resolution", str(resolution)]) == 0
+    return out.getvalue()
+
+
+class Quiet:
+    """A candidate that breaks no constraint: -cos(theta1) on the diagonal
+    and the band's midpoint elsewhere, but for the nodes given their own
+    values.  Its values come back as ``dtype``."""
+
+    name = "quiet"
+
+    def __init__(self, nodes=(), dtype=float):
+        self.nodes, self.dtype = dict(nodes), dtype
+
+    def values(self, points):
+        lo, hi = band_limits(points)
+        diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
+        values = np.where(diagonal, -np.cos(points[:, 0]), 0.5 * (lo + hi))
+        for node, value in self.nodes.items():
+            values[np.all(points == node, axis=1)] = value
+        return values.astype(self.dtype)
+
+
+# (0, 0, 0) is a diagonal node whose band is [-1, -1], and (0, 0, pi) one
+# off the diagonal whose band is [1, 1]
+_ORIGIN, _EDGE = (0.0, 0.0, 0.0), (0.0, 0.0, math.pi)
+#: name -> (candidate, resolution, violations by kind)
+SCANS = {
+    "none": (Quiet(), 9, {}),
+    "product-r2-none": (F4Candidate.builtin("product"), 2, {}),
+    "one": (Quiet({_EDGE: -1.0}), 9, {"band": 1}),
+    "both-kinds-at-one-node": (Quiet({_ORIGIN: 0.5}), 9, {"band": 1, "diagonal": 1}),
+    "nan": (Quiet({_EDGE: math.nan, _ORIGIN: math.nan}), 9, {"band": 2}),
+    "float32": (Quiet({_ORIGIN: 0.1, _EDGE: 0.3}, np.float32), 9, None),
+    "int": (Quiet(dtype=np.int64), 9, None),
+    **{f"{kind}-r{r}": (F4Candidate.builtin(kind), r, None)
+       for kind, r in (("product", 50), ("locality", 12), ("product-diagonal", 7))},
+    # the r = 10 tabulated product scanned at r = 25, as in the benchmark's grid workload
+    "tabulated-product-r25": (
+        F4Candidate.from_grid(10, F4Candidate.builtin("product").values(grid_points(10))),
+        25, None),
+}
+
+
+class TestScanRows:
+    """scan's row template against the dumps rendering it replaced."""
+
+    @pytest.mark.parametrize("name", SCANS)
+    def test_same_bytes_as_the_reference(self, name):
+        candidate, resolution, kinds = SCANS[name]
+        out = scan_stdout(candidate, resolution)
+        assert out == scan_stdout(candidate, resolution, reference=True)
+        violations = inequality_scan(candidate, resolution)
+        if kinds is not None:
+            assert {k: sum(v.kind == k for v in violations) for k in kinds} == kinds
+            assert len(violations) == sum(kinds.values())
+        assert f'"violation_count": {len(violations)},' in out
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 30), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_grid_candidates(self, resolution, grid_resolution, seed):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, grid_resolution ** 3)
+        candidate = F4Candidate.from_grid(grid_resolution, values)
+        out = scan_stdout(candidate, resolution)
+        assert out == scan_stdout(candidate, resolution, reference=True)
+
+    def test_percent_g_is_format_g(self):
+        # the template's "%.17g" slots stand for dumps' format(v, ".17g")
+        doubles = np.frombuffer(np.random.default_rng(22).bytes(8 * 200_000), dtype=np.float64)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                   math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+                   sys.float_info.max, 1e16, 1e17, 0.1, 1 / 3, -math.pi]
+        values = doubles.tolist() + special
+        assert [v.hex() for v in values if "%.17g" % v != format(v, ".17g")] == []
 
 
 def run_exit(capsys, argv):

@@ -106,6 +106,15 @@ def whole_grid_scan(candidate, resolution, tol=1e-9):
     return violations
 
 
+def assert_plain_fields(violations):
+    """Each Violation holds a tuple of three Python floats, one of the two
+    kinds and three Python floats, as the per-node reference builds it."""
+    for v in violations:
+        assert type(v.theta) is tuple and len(v.theta) == 3
+        assert v.kind in ("band", "diagonal")
+        assert {type(x) for x in (*v.theta, v.value, v.lo, v.hi)} == {float}
+
+
 def hex_rows(violations):
     """Violations with every float as its float.hex, so -0.0 and 0.0 differ."""
     return [
@@ -211,7 +220,22 @@ class TestCandidateKernel:
 
     @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
     def test_scan_matches_reference(self, candidate):
-        assert inequality_scan(candidate, 15) == ref_scan(candidate, 15)
+        found = inequality_scan(candidate, 15)
+        assert found == ref_scan(candidate, 15)
+        assert_plain_fields(found)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float64])
+    def test_scan_fields_are_python_floats_for_any_dtype(self, dtype):
+        class Cast:
+            name = "cast"
+
+            def values(self, points):
+                return F4Candidate.builtin("locality").values(points).astype(dtype)
+
+        found = inequality_scan(Cast(), 9)
+        assert found
+        assert_plain_fields(found)
+        assert hex_rows(found) == hex_rows(whole_grid_scan(Cast(), 9))
 
     # 25^3 nodes are one block of the scan, 26^3 are two
     @pytest.mark.parametrize("resolution", [2, 25, 26, 50])
