@@ -106,10 +106,10 @@ def q_plus_points(points) -> np.ndarray:
         raise DomainError(f"triples must be real numbers: {exc}") from None
     if pts.ndim == 0 or pts.shape[-1] != 3:
         raise ShapeError(f"expected triples of shape (..., 3), got shape {pts.shape}")
-    # written so that NaN fails it too
-    outside = ~np.all((pts >= 0.0) & (pts <= math.pi), axis=-1)
-    if np.any(outside):
-        bad = tuple(pts[outside][0].tolist())
+    # one elementwise pass that NaN fails too; rows are reduced only to name a bad one
+    inside = (pts >= 0.0) & (pts <= math.pi)
+    if not inside.all():
+        bad = tuple(pts[~inside.all(axis=-1)][0].tolist())
         raise DomainError(f"triple {bad} lies outside the positive cube [0, pi]^3")
     return pts
 
