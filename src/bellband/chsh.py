@@ -4,7 +4,6 @@ classical correlation polytope."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     ROUND_TOL, AngleTriple, _real, empirical_correlation, q_plus_points, singlet_correlation,
@@ -13,7 +12,8 @@ from .errors import DomainError
 from .sampling import JointDistribution4
 
 
-class BooleResult(NamedTuple):
+@dataclass(frozen=True)
+class BooleResult:
     lhs1: float
     lhs2: float
     holds: bool

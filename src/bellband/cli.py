@@ -76,6 +76,8 @@ def _candidate(args) -> F4Candidate:
             raise BellbandError("--candidate grid requires --candidate-file")
         with open(args.candidate_file, "rb") as fh:
             return F4Candidate.from_json(fh.read())
+    if args.candidate_file is not None:
+        raise BellbandError(f"--candidate-file needs --candidate grid, not {args.candidate}")
     return F4Candidate.builtin(args.candidate)
 
 
@@ -432,17 +434,18 @@ def main(argv=None) -> int:
     }
     try:
         result = _COMMANDS[args.command][0](args)
+        # flushed here, so that a closed pipe or a full disk is an error of the command
+        print(dumps({
+            "tool": "bellband",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "result": result,
+        }), flush=True)
     except (BellbandError, OSError, MemoryError) as exc:
         # numpy names the failed allocation; a bare MemoryError says nothing
         sys.stderr.write(_error_line("bellband", str(exc) or "out of memory"))
         return 1
-    print(dumps({
-        "tool": "bellband",
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "result": result,
-    }))
     return 0
 
 

@@ -26,13 +26,6 @@ from .errors import DomainError, ShapeError
 CHUNK = 1 << 16
 
 
-def _check_count(n: int) -> int:
-    n = _integer(n, "sample count")
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    return n
-
-
 @functools.cache
 def _pool():
     """The thread pool that fills sampler chunks, made on first use: importing
@@ -53,7 +46,9 @@ def _sample(n: int, seed: int, k: int, draw) -> tuple:
     """The k int8 +/-1 columns of n draws.  Chunk i of the columns is
     ``draw(rng, m)``, the (k, m) values of its m draws, where rng is PCG64
     seeded with ``SeedSequence([seed, i])``."""
-    n = _check_count(n)
+    n = _integer(n, "sample count")
+    if n < 1:
+        raise DomainError(f"sample count must be >= 1, got {n}")
     seed = _check_seed(seed)
     if k * n > np.iinfo(np.intp).max:
         raise DomainError(f"{n} draws of {k} columns exceed the address space")
