@@ -457,6 +457,39 @@ def test_petabyte_count_fails_cleanly(tmp_path, args, n):
     assert not (tmp_path / "x.csv").exists()
 
 
+#: about 700 kB of stdout, many times a pipe's buffer
+_LARGE_SCAN = ["scan", "--candidate", "locality", "--resolution", "30"]
+
+
+def _cli_process(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
+    return subprocess.Popen([sys.executable, "-m", "bellband.cli", *args],
+                            stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("read", [0, 10])
+def test_closed_stdout_fails_cleanly(read):
+    # as `bellband scan ... | head -c 10`: the reader leaves after `read` bytes
+    with _cli_process(_LARGE_SCAN, stdout=subprocess.PIPE) as proc:
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 1
+    assert err.startswith("bellband: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", [["band", "--theta1", "0", "--theta2", "0", "--theta3", "0"],
+                                  _LARGE_SCAN], ids=["band", "scan"])
+def test_full_stdout_fails_cleanly(args):
+    with open("/dev/full", "wb") as full, _cli_process(args, stdout=full) as proc:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 1
+    assert err.startswith("bellband: error: ") and err.count("\n") == 1, err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # no module of the package imports scipy; when f4 imported scipy.stats it was
     # most of the CLI's start-up, so this keeps it from coming back
@@ -570,6 +603,22 @@ class TestAnalyzeAndScan:
     def test_grid_without_file_fails(self, capsys):
         code, _ = run(capsys, "scan", "--candidate", "grid", "--resolution", 5)
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["chsh", "--theta1", "1", "--theta2", "1", "--theta3", "1"],
+        ["analyze"],
+        ["scan", "--resolution", "5"],
+    ], ids=lambda command: command[0])
+    def test_builtin_with_file_fails(self, tmp_path, capsys, command):
+        # the file would go unread while config echoed it
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"kind": "grid", "resolution": 2, "values": [-1.0] * 8}))
+        code = main([*command, "--candidate", "product", "--candidate-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "bellband: error: --candidate-file needs --candidate grid, not product\n"
+        )
 
     @pytest.mark.parametrize("seed", ["-1", str(2**70)], ids=["negative", "2^70"])
     def test_analyze_rejects_seed_outside_u64(self, capsys, seed):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 from pathlib import Path
 
@@ -333,7 +332,7 @@ def test_value_types_compare_and_hash(kind):
     assert a == b and hash(a) == hash(b)
     assert a != other
     # as with the dataclass-generated ==, a subclass's instance is another
-    # value; a NamedTuple compares as a plain tuple
-    if dataclasses.is_dataclass(a):
-        subclass = type(kind, (type(a),), {})
-        assert a != subclass(**vars(a)) and subclass(**vars(a)) != a
+    # value, and so is the tuple of the fields
+    subclass = type(kind, (type(a),), {})
+    assert a != subclass(**vars(a)) and subclass(**vars(a)) != a
+    assert a != tuple(vars(a).values())

@@ -9,6 +9,7 @@ one-axis and one-pair forms, one ``values`` call and one solve each.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,17 @@ class TestValidation:
     )
     def test_rejects_points_outside_the_cube(self, points):
         with pytest.raises(DomainError):
+            q_plus_points(points)
+
+    @pytest.mark.parametrize("first,second", [
+        ((0.5, math.nan, 0.5), (0.5, 0.5, -0.25)),
+        ((4.0, 0.5, 0.5), (0.5, 0.5, math.nan)),
+    ])
+    def test_names_the_first_bad_triple_in_c_order(self, first, second):
+        points = np.full((2, 3, 3), 0.5)
+        points[0, 2], points[1, 0] = first, second
+        message = f"triple {first} lies outside the positive cube [0, pi]^3"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             q_plus_points(points)
 
     @pytest.mark.parametrize("points", [0.5, [0.0, 0.0], np.zeros((4, 2)), np.zeros((3, 0))])
