@@ -434,14 +434,14 @@ def main(argv=None) -> int:
     }
     try:
         result = _COMMANDS[args.command][0](args)
-        # flushed here, so that a closed pipe or a full disk is an error of the command
-        print(dumps({
-            "tool": "bellband",
-            "version": __version__,
-            "command": args.command,
-            "config": config,
-            "result": result,
-        }), flush=True)
+        report = dumps({"tool": "bellband", "version": __version__, "command": args.command,
+                        "config": config, "result": result})
+        try:  # flushed here, so that a closed pipe or a full disk is an error of the command
+            print(report, flush=True)
+        except OSError:  # drop the unwritten bytes, or stdout's flush at exit fails (exit 120)
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())  # no descriptor: a capture, kept
+            raise
     except (BellbandError, OSError, MemoryError) as exc:
         # numpy names the failed allocation; a bare MemoryError says nothing
         sys.stderr.write(_error_line("bellband", str(exc) or "out of memory"))

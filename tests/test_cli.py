@@ -435,6 +435,17 @@ class TestTableWriter:
         assert out.read_bytes() == header + _savetxt_table_reference(band_map(50))
 
 
+def _python(*args, unbuffered=False):
+    """The argv and environment of ``python *args`` importing this bellband.
+
+    PYTHONUNBUFFERED is not passed on, so the child's stdout is buffered as it is
+    by default; ``unbuffered`` runs it with ``-u`` instead.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(bellband.__file__).parent.parent)
+    return [sys.executable, *(["-u"] if unbuffered else []), *args], env
+
+
 @pytest.mark.parametrize("n", [10**15, 2**62, 10**29], ids=["1e15", "2^62", "1e29"])
 @pytest.mark.parametrize(
     "args",
@@ -447,11 +458,9 @@ class TestTableWriter:
 def test_petabyte_count_fails_cleanly(tmp_path, args, n):
     # 10^15 draws exceed the memory, so the allocation fails at once; from
     # 2^62 draws the columns' bytes exceed the largest array numpy can index
-    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
-    result = subprocess.run(
-        [sys.executable, "-m", "bellband.cli", *args, "--n", str(n), "--out", "x.csv"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
+    argv, env = _python("-m", "bellband.cli", *args, "--n", str(n), "--out", "x.csv")
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path,
+                            timeout=120)
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.startswith("bellband: error: ") and result.stderr.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
@@ -461,16 +470,21 @@ def test_petabyte_count_fails_cleanly(tmp_path, args, n):
 _LARGE_SCAN = ["scan", "--candidate", "locality", "--resolution", "30"]
 
 
-def _cli_process(args, **kwargs):
-    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
-    return subprocess.Popen([sys.executable, "-m", "bellband.cli", *args],
-                            stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+def _cli_process(args, unbuffered, **kwargs):
+    argv, env = _python("-m", "bellband.cli", *args, unbuffered=unbuffered)
+    return subprocess.Popen(argv, stderr=subprocess.PIPE, text=True, env=env, **kwargs)
 
 
+#: a buffered stdout keeps the bytes a failed write left, for the flush at exit
+_STDOUT_MODES = pytest.mark.parametrize("unbuffered", [False, True],
+                                        ids=["buffered", "unbuffered"])
+
+
+@_STDOUT_MODES
 @pytest.mark.parametrize("read", [0, 10])
-def test_closed_stdout_fails_cleanly(read):
+def test_closed_stdout_fails_cleanly(read, unbuffered):
     # as `bellband scan ... | head -c 10`: the reader leaves after `read` bytes
-    with _cli_process(_LARGE_SCAN, stdout=subprocess.PIPE) as proc:
+    with _cli_process(_LARGE_SCAN, unbuffered, stdout=subprocess.PIPE) as proc:
         proc.stdout.read(read)
         proc.stdout.close()
         err = proc.stderr.read()
@@ -482,22 +496,32 @@ def test_closed_stdout_fails_cleanly(read):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("args", [["band", "--theta1", "0", "--theta2", "0", "--theta3", "0"],
                                   _LARGE_SCAN], ids=["band", "scan"])
-def test_full_stdout_fails_cleanly(args):
-    with open("/dev/full", "wb") as full, _cli_process(args, stdout=full) as proc:
+@_STDOUT_MODES
+def test_full_stdout_fails_cleanly(args, unbuffered):
+    with open("/dev/full", "wb") as full, _cli_process(args, unbuffered, stdout=full) as proc:
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert code == 1
     assert err.startswith("bellband: error: ") and err.count("\n") == 1, err
 
 
+def test_failed_write_to_a_stdout_without_descriptor(capsys):
+    # in process, sys.stdout may be a capture with no descriptor to redirect
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with mock.patch("sys.stdout", Full()):
+        assert main(["band", "--theta1", "0", "--theta2", "0", "--theta3", "0"]) == 1
+    assert capsys.readouterr() == ("", "bellband: error: [Errno 28] No space left on device\n")
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # no module of the package imports scipy; when f4 imported scipy.stats it was
     # most of the CLI's start-up, so this keeps it from coming back
     code = "import sys, bellband.cli; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    argv, env = _python("-c", code)
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
 
@@ -510,17 +534,14 @@ def test_analyze_runs_without_scipy(tmp_path):
     candidates = [["--candidate", kind] for kind in BUILTIN_KINDS]
     candidates.append(["--candidate", "grid", "--candidate-file", str(grid)])
     runs = [["analyze", *c, "--seed", str(s)] for c in candidates for s in (0, 2**64 - 1)]
-    env = {**os.environ, "PYTHONPATH": str(Path(bellband.__file__).parent.parent)}
     outputs = []
     for block in ("", "sys.modules['scipy'] = None\n"):
         code = (
             f"import json, sys\n{block}from bellband.cli import main\n"
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(runs)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        argv, env = _python("-c", code, json.dumps(runs))
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0].count('"command": "analyze"') == len(runs)
