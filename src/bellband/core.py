@@ -201,7 +201,12 @@ def as_outcomes(values) -> np.ndarray:
         raise DomainError("outcome sequence must be non-empty")
     if not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"outcomes must be numeric, got dtype {arr.dtype}")
-    if not np.all((arr == 1) | (arr == -1)):
+    if arr.dtype.kind in "iu":
+        # three reductions that allocate nothing: no entry past -1 or +1, and none is 0
+        valid = arr.min() >= -1 and arr.max() <= 1 and np.count_nonzero(arr) == arr.size
+    else:
+        valid = np.all((arr == 1) | (arr == -1))
+    if not valid:
         raise DomainError("outcomes must all be +1 or -1")
     return arr.astype(np.int8, copy=False)
 
