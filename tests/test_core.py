@@ -107,6 +107,18 @@ class TestSingletJoint:
         assert str(total.value) == "probabilities sum to 1.5, not 1"
 
 
+@st.composite
+def integer_outcome_arrays(draw):
+    """A 1-d array of one integer dtype: half the time all +/-1 (only +1
+    for an unsigned dtype), otherwise signs mixed with any value of the dtype."""
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.uint64])))
+    info = np.iinfo(dtype)
+    signs = st.sampled_from([s for s in (-1, 1) if s >= info.min])
+    if not draw(st.booleans()):
+        signs = st.one_of(signs, st.integers(info.min, info.max))
+    return np.array(draw(st.lists(signs, min_size=1, max_size=20)), dtype=dtype)
+
+
 class TestEmpiricalCorrelation:
     def test_identical(self):
         assert empirical_correlation([1, 1, 1], [1, 1, 1]) == 1.0
@@ -145,6 +157,44 @@ class TestEmpiricalCorrelation:
     def test_as_outcomes_rejections(self, values, error, message):
         with pytest.raises(error, match=message):
             as_outcomes(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([1, -128], dtype=np.int8),
+            np.array([-1, 0, 1], dtype=np.int8),
+            np.array([127, 1], dtype=np.int8),
+            np.array([1, 255], dtype=np.uint8),
+            np.array([2**63 - 1], dtype=np.int64),
+            np.array([-1, -2**63], dtype=np.int64),
+        ],
+        ids=["int8-min", "int8-zero", "int8-max", "uint8-max", "int64-max", "int64-min"],
+    )
+    def test_integer_outcomes_past_the_signs_rejected(self, values):
+        with pytest.raises(DomainError, match=r"^outcomes must all be \+1 or -1$"):
+            as_outcomes(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1.0, math.nan]), np.array([-1.0, 0.5]), np.array([1, 1j])],
+        ids=["nan", "half", "complex"],
+    )
+    def test_other_numeric_outcomes_checked_elementwise(self, values):
+        with pytest.raises(DomainError, match=r"^outcomes must all be \+1 or -1$"):
+            as_outcomes(values)
+
+    def test_bool_outcomes_are_not_numeric(self):
+        with pytest.raises(DomainError, match="^outcomes must be numeric, got dtype bool$"):
+            as_outcomes(np.array([True, True]))
+
+    @given(integer_outcome_arrays())
+    def test_integer_check_matches_the_elementwise_rule(self, values):
+        if all(v in (1, -1) for v in values.tolist()):
+            got = as_outcomes(values)
+            assert got.dtype == np.int8 and got.tolist() == values.tolist()
+        else:
+            with pytest.raises(DomainError, match=r"^outcomes must all be \+1 or -1$"):
+                as_outcomes(values)
 
     @given(st.lists(st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])), min_size=1))
     def test_matches_direct_sum(self, pairs):

@@ -45,6 +45,9 @@ NUMERIC = [
     # 200000 rows are four blocks of the sequence codec
     "octet --theta1 1 --theta2 2 --theta3 3 --n 200000 --seed 1 --out {tmp}/out.csv",
     "boole --in {in}/octet.csv",
+    # 200003 draws are three whole sampler chunks and a short fourth
+    "simulate --theta 1.0472 --n 200003 --seed 5 --out {tmp}/out.csv",
+    "lhv --theta-a 0.3 --theta-b 2.2 --n 200003 --seed 5 --out {tmp}/out.csv",
     "octet --theta1 60 --theta2 90 --theta3 30 --degrees --f -0.25 --n 1000 --seed 3"
     " --out {tmp}/out.csv",
     "simulate --theta 60 --degrees --n 1000 --seed 7 --out {tmp}/out.csv",

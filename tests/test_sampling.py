@@ -135,6 +135,12 @@ class TestJointDistribution4:
         assert str(negative.value) == "negative probability -0.5"
         assert str(total.value) == "probabilities sum to 2.0, not 1"
 
+    def test_pattern_entries_are_the_index_sign_bits(self):
+        # the sampler decodes a drawn index by this rule, and band's LP rows rest on the table
+        for i in range(16):
+            for j in range(4):
+                assert JointDistribution4.PATTERNS[i, j] == 1 - 2 * ((i >> (3 - j)) & 1)
+
     def test_value_equality_and_hash(self):
         d = JointDistribution4(np.full(16, 1.0 / 16.0))
         assert d == UNIFORM
@@ -319,11 +325,13 @@ _EDGE_DISTRIBUTIONS = {
 
 @pytest.mark.parametrize("probs", _EDGE_DISTRIBUTIONS.values(), ids=_EDGE_DISTRIBUTIONS.keys())
 def test_categorical_edges_match_searchsorted(probs):
-    # an identity pattern table makes the drawn column the drawn index
-    identity = np.arange(len(probs), dtype=np.int8)[:, None]
+    # the drawn sign columns are the pattern table's rows at the reference
+    # index, so the index and its decode are both checked
+    patterns = _PAIRS if len(probs) == 4 else JointDistribution4.PATTERNS
     u = _edge_uniforms(probs)
-    (drawn,) = _categorical(probs, identity)(_FixedUniforms(u), len(u))
-    assert np.array_equal(drawn, _reference_index(probs, u))
+    out = np.empty((patterns.shape[1], len(u)), dtype=np.int8)
+    _categorical(probs)(_FixedUniforms(u), out)
+    assert np.array_equal(out, patterns[_reference_index(probs, u)].T)
 
 
 def test_sum_over_one_has_an_edge_past_one():
@@ -415,10 +423,10 @@ def test_child_forked_after_a_sampler_call_samples():
 
 
 def test_a_failing_chunk_fails_the_sampler():
-    def draw(rng, m):
-        if m < CHUNK:  # only the last, short chunk
+    def draw(rng, out):
+        if out.shape[1] < CHUNK:  # only the last, short chunk
             raise ValueError("the last chunk's draw failed")
-        return np.ones((1, m), dtype=np.int8)
+        out[:] = 1
 
     with pytest.raises(ValueError, match="last chunk's draw failed"):
         sampling._sample(2 * CHUNK + 1, 0, 1, draw)
