@@ -6,7 +6,7 @@ PCG64 seeded with ``SeedSequence([seed, i])``, so the output does not
 depend on how chunks are scheduled.  The chunks are filled on a kept pool
 of at most ``min(4, os.cpu_count())`` threads, each straight into its own
 slice of one int8 block of the sampler's k columns, so a sampler holds k
-bytes a draw plus one chunk's temporaries per worker, about 1-2 MB each.
+bytes a draw plus one chunk's temporaries per worker, about 0.7 MB each.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _categorical(probs):
         index, below = np.zeros(len(u), dtype=np.int8), np.empty(len(u), dtype=bool)
         for edge in edges:  # 3 or 15 edges, so the count fits in int8
             index += np.less_equal(edge, u, out=below)
-        # the index's sign bits, decoded in place: about 4x faster than a take
-        # of the pattern columns, and no (k, m) temporary
+        # the index's sign bits decoded in place: about 4x faster than a take
+        # from a pattern table, and with no (k, m) temporary
         for j, row in enumerate(out):
             np.right_shift(index, len(out) - 1 - j, out=row)
             row &= 1
