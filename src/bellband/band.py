@@ -58,14 +58,12 @@ def band_limits(points) -> tuple[np.ndarray, np.ndarray]:
     r2 = 2.0 - np.abs(c1 - c2)
     lo = np.maximum(np.maximum(c3 - r1, -c3 - r2), -1.0)
     hi = np.minimum(np.minimum(c3 + r1, -c3 + r2), 1.0)
-    # nonempty by r1 + r2 = 4 - 2*max(|c1|,|c2|) >= 2 >= 2|c3|;
-    # collapse pure rounding gaps
-    gap = lo - hi
-    if np.any(gap > ROUND_TOL):
+    # nonempty by r1 + r2 = 4 - 2*max(|c1|,|c2|) >= 2 >= 2|c3|; a rounding
+    # crossing collapses to its midpoint, which lies in [lo, hi] if lo <= hi
+    if np.any(lo - hi > ROUND_TOL):
         raise DomainError("band unexpectedly empty")
-    collapsed = gap > 0.0
     mid = 0.5 * (lo + hi)
-    return np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
+    return np.minimum(lo, mid), np.maximum(hi, mid)
 
 
 def feasible_band(theta: AngleTriple) -> Interval:
@@ -101,18 +99,14 @@ _OBJ = _M.pop("f")
 _EQ = np.vstack([np.ones(16), *_M.values()])
 
 _BASES = np.array(list(itertools.combinations(range(16), 4)))
-_MATS = np.ascontiguousarray(_EQ[:, _BASES].transpose(1, 0, 2))
 # entries are +-1, so each determinant is an exact integer (0, +-8 or +-16)
 # up to rounding far below 1/2
-_NONSING = np.rint(np.linalg.det(_MATS)) != 0
-_BASES_NS = _BASES[_NONSING]
-_INV = np.linalg.inv(_MATS[_NONSING])
-_OBJ_NS = _OBJ[_BASES_NS]
-# entry-major copies: row 928 * i + j of _INV_ROWS is row i of basis j's
-# inverse, so all basic solutions are one gemv, read as (4, 928) with one
-# contiguous row per entry, and column j of _OBJ_ROWS is basis j's objective
-_INV_ROWS = _INV.transpose(1, 0, 2).reshape(-1, 4)
-_OBJ_ROWS = np.ascontiguousarray(_OBJ_NS.T)
+_BASES_NS = _BASES[np.rint(np.linalg.det(_EQ[:, _BASES].transpose(1, 0, 2))) != 0]
+# entry-major: row 928 * i + j of _INV_ROWS is row i of basis j's inverse,
+# so all basic solutions are one gemv, read as (4, 928) with one contiguous
+# row per entry, and column j of _OBJ_ROWS is basis j's objective
+_INV_ROWS = np.linalg.inv(_EQ[:, _BASES_NS].transpose(1, 0, 2)).transpose(1, 0, 2).reshape(-1, 4)
+_OBJ_ROWS = np.ascontiguousarray(_OBJ[_BASES_NS].T)
 
 
 @dataclass(frozen=True)
@@ -124,13 +118,6 @@ class LpResult:
     max_value: float
     witness_min: JointDistribution4
     witness_max: JointDistribution4
-
-
-def _witness(basis: np.ndarray, sol: np.ndarray) -> JointDistribution4:
-    p = np.zeros(16)
-    p[basis] = np.maximum(sol, 0.0)
-    p /= p.sum()
-    return JointDistribution4(p)
 
 
 def lp_band(c1: float, c2: float, c3: float) -> LpResult:
@@ -159,19 +146,22 @@ def lp_band(c1: float, c2: float, c3: float) -> LpResult:
     if feasible_objs.size == 0:
         raise InfeasibleError(f"no distribution matches moments ({c1}, {c2}, {c3})")
 
-    def pick(extreme: float) -> tuple[np.ndarray, np.ndarray]:
+    def pick(extreme: float) -> JointDistribution4:
         # among bases attaining the extreme, prefer the least degenerate one
         idx = np.flatnonzero(feasible & (np.abs(objs - extreme) <= ROUND_TOL))
         best = idx[np.argmax(worst[idx])]
-        return _BASES_NS[best], sols[:, best]
+        p = np.zeros(16)
+        p[_BASES_NS[best]] = np.maximum(sols[:, best], 0.0)
+        p /= p.sum()
+        return JointDistribution4(p)
 
     min_value = float(feasible_objs.min())
     max_value = float(feasible_objs.max())
     return LpResult(
         min_value=max(min_value, -1.0),
         max_value=min(max_value, 1.0),
-        witness_min=_witness(*pick(min_value)),
-        witness_max=_witness(*pick(max_value)),
+        witness_min=pick(min_value),
+        witness_max=pick(max_value),
     )
 
 

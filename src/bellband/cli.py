@@ -322,9 +322,9 @@ def _cmd_analyze(args) -> dict:
     return report.to_dict()
 
 
-# a Violation as dumps writes it in scan's report: "%.17g" is ".17g", and a kind needs no escapes
-_VIOLATION = ('{\n      "theta": [%.17g, %.17g, %.17g],\n      "kind": "%s",\n      "value": %.17g,'
-              '\n      "lo": %.17g,\n      "hi": %.17g\n    }')
+# one Violation of scan's report: dumps writes a float as "%.17g" does, and a kind needs no escapes
+_VIOLATION = dumps({"theta": _Text("[%.17g, %.17g, %.17g]"), "kind": _Text('"%s"'),
+                    **dict.fromkeys(("value", "lo", "hi"), _Text("%.17g"))}, indent=2)
 
 
 def _cmd_scan(args) -> dict:

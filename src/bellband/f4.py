@@ -101,8 +101,11 @@ class F4Candidate(_ArrayFields):
             values = doc["values"]
         except KeyError as exc:
             raise GridFormatError(f"grid document is missing field {exc}") from exc
+        name = doc.get("name", "grid")
+        if not isinstance(name, str):
+            raise GridFormatError("grid document's name must be a JSON string")
         # checked after from_grid's own checks, whose messages it keeps
-        candidate = cls.from_grid(resolution, values, name=str(doc.get("name", "grid")))
+        candidate = cls.from_grid(resolution, values, name=name)
         if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
             raise GridFormatError("grid values must be a flat list of JSON numbers")
         return candidate

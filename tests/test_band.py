@@ -216,14 +216,19 @@ class TestFeasibleDistribution:
 
 # --- lp_band against its first form, bit for bit ---------------------------
 
+# the basis inverses (928, 4, 4), stacked basis-major and contiguous as they
+# were first built, and the objectives (928, 4)
+_INV = np.ascontiguousarray(band._INV_ROWS.reshape(4, -1, 4).transpose(1, 0, 2))
+_OBJ_NS = band._OBJ_ROWS.T
+
 
 def _reference_lp_band(c1, c2, c3):
     """lp_band as first written: basic solutions as the stacked product
     _INV @ b, objectives by np.sum, extremes by nanmin/nanmax over the
     feasible bases.  Returns the extremes and the witness vectors."""
-    sols = band._INV @ np.array([1.0, c1, c2, c3])
+    sols = _INV @ np.array([1.0, c1, c2, c3])
     feasible = np.all(sols >= -ROUND_TOL, axis=1)
-    objs = np.sum(sols * band._OBJ_NS, axis=1)
+    objs = np.sum(sols * _OBJ_NS, axis=1)
     objs_feas = np.where(feasible, objs, np.nan)
 
     def witness(extreme):

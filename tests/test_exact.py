@@ -29,6 +29,10 @@ _PATTERNS = list(itertools.product((1, -1), repeat=4))
 # total mass, E[a_oo b_oo], E[a_bo b_oo], E[a_oo b_ob]
 _ROWS = [[1] * 16] + [[p[i] * p[j] for p in _PATTERNS] for i, j in ((0, 1), (2, 1), (0, 3))]
 _OBJECTIVE = [p[2] * p[3] for p in _PATTERNS]  # E[a_bo b_ob]
+# the package's basis inverses (928, 4, 4) and objectives (928, 4), viewed
+# basis-major from its entry-major tables
+_INV = band._INV_ROWS.reshape(4, -1, 4).transpose(1, 0, 2)
+_OBJ_NS = band._OBJ_ROWS.T
 
 
 def _minor(matrix, i, j):
@@ -93,7 +97,7 @@ def check_lp(c1, c2, c3):
     assert -1.0 <= result.min_value <= result.max_value <= 1.0
     assert abs(Fraction(result.min_value) - lo) <= BAND_TOL
     assert abs(Fraction(result.max_value) - hi) <= BAND_TOL
-    solutions = band._INV @ np.array([1.0, c1, c2, c3])
+    solutions = _INV @ np.array([1.0, c1, c2, c3])
     assert np.all(solutions[feasible] >= -ROUND_TOL)
     return lo, hi
 
@@ -117,7 +121,7 @@ def test_reference_bases_are_the_package_bases():
 def test_inverses_are_dyadic():
     # every entry of a basis inverse is exactly k/16, so each basic solution
     # is a sum of four exact products and is off by a few ulp at most
-    scaled = band._INV * 16
+    scaled = _INV * 16
     assert np.array_equal(scaled, np.rint(scaled))
 
 
@@ -126,11 +130,11 @@ def dual_vertices():
     dual feasible for the minimum (every reduced cost _OBJ - y_B . _EQ is at
     least 0) and for the maximum (every one at most 0), in integers: each
     array is scaled by 16, which makes the inverses integral."""
-    inv16 = np.rint(band._INV * 16).astype(np.int64)
+    inv16 = np.rint(_INV * 16).astype(np.int64)
     eq, obj = band._EQ.astype(np.int64), band._OBJ.astype(np.int64)
-    assert np.array_equal(inv16, band._INV * 16)
+    assert np.array_equal(inv16, _INV * 16)
     assert np.array_equal(eq, band._EQ) and np.array_equal(obj, band._OBJ)
-    y16 = np.einsum("bij,bi->bj", inv16, band._OBJ_NS.astype(np.int64))
+    y16 = np.einsum("bij,bi->bj", inv16, _OBJ_NS.astype(np.int64))
     reduced16 = 16 * obj - y16 @ eq
     assert np.all(y16 % 16 == 0)
     lower = {tuple(y) for y in (y16[np.all(reduced16 >= 0, axis=1)] // 16).tolist()}

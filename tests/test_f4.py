@@ -143,6 +143,11 @@ class TestCandidates:
                      "unknown builtin candidate 'nope'", id="unknown-builtin"),
         pytest.param(lambda: F4Candidate.from_json('{"kind": "grid", "resolution": 2}'),
                      "grid document is missing field 'values'", id="no-values"),
+        # a name that is not a string was once reported as its Python str()
+        *(pytest.param(lambda name=name: F4Candidate.from_json(
+            f'{{"kind": "grid", "name": {name}, "resolution": 2, "values": [0,0,0,0,0,0,0,0]}}'),
+                       "^grid document's name must be a JSON string$", id=f"name-{name}")
+          for name in ("null", '{"a": 1}', "true", "5", '["grid"]')),
     ],
 )
 def test_candidate_rejections(make, message):

@@ -87,6 +87,7 @@ PORTABLE = [
     "band-map --resolution 201 --out {tmp}/out.csv",
     "boole --in {tmp}",
     "scan --candidate grid --candidate-file {in}/bad.json --resolution 5",
+    "scan --candidate product --candidate-file {in}/bad.json --resolution 5",
 ]
 
 

@@ -14,12 +14,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bellband import DomainError, F4Candidate, ShapeError, band_map, inequality_scan
 from bellband import f4
 from bellband.band import band_limits
-from bellband.core import MAX_GRID_RESOLUTION, AngleTriple, grid_points, q_plus_points
+from bellband.core import (
+    MAX_GRID_RESOLUTION, AngleTriple, grid_points, q_plus_points, singlet_correlation,
+)
 from bellband.f4 import Violation
 
 
@@ -32,6 +34,21 @@ def ref_band(t1, t2, t3):
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
+
+
+def where_collapsed(points):
+    """The band kernel's endpoints settled by the rule its clamp replaced: a
+    mask of crossed pairs and two np.where passes to their midpoints.
+    Returns the number of crossed pairs and (lo, hi)."""
+    pts = q_plus_points(points)
+    c1, c2, c3 = (singlet_correlation(pts[..., k]) for k in range(3))
+    r1 = 2.0 - np.abs(c1 + c2)
+    r2 = 2.0 - np.abs(c1 - c2)
+    lo = np.maximum(np.maximum(c3 - r1, -c3 - r2), -1.0)
+    hi = np.minimum(np.minimum(c3 + r1, -c3 + r2), 1.0)
+    collapsed = lo - hi > 0.0
+    mid = 0.5 * (lo + hi)
+    return np.count_nonzero(collapsed), np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
 
 
 def ref_axis(resolution):
@@ -166,6 +183,11 @@ def bits(a):
 EDGES = (0.0, math.pi, 1e-300, 5e-324, math.pi / 2, 3.141551328082391, math.nextafter(math.pi, 0))
 cube_angle = st.one_of(st.sampled_from(EDGES), st.floats(0.0, math.pi, allow_nan=False))
 triples = st.tuples(cube_angle, cube_angle, cube_angle)
+# components within 1e-9 of 0 or pi, or anywhere: rounding crosses the
+# endpoints at some triples with two components on the edges
+near_edge = st.one_of(st.floats(0.0, 1e-9), st.floats(math.pi - 1e-9, math.pi), cube_angle)
+# a node of the r = 25 lattice where the endpoints cross by one ulp
+CROSSED = (0.0, float(np.linspace(0.0, math.pi, 25)[11]), 0.0)
 
 CANDIDATES = [F4Candidate.builtin(kind) for kind in f4.BUILTIN_KINDS] + [fuzzed_grid(6, 3)]
 # the report's probes: coarse grids put the stencil points in one cell or across several
@@ -194,6 +216,23 @@ class TestBandKernel:
         ref = [ref_band(*t) for t in points]
         assert bits(lo) == bits([r[0] for r in ref])
         assert bits(hi) == bits([r[1] for r in ref])
+
+    @pytest.mark.parametrize("resolution", [25, 101])
+    def test_clamp_matches_the_where_collapse_on_lattices(self, resolution):
+        points = grid_points(resolution)
+        crossed, lo, hi = where_collapsed(points)
+        assert crossed > 0  # the lattice exercises the clamp
+        got_lo, got_hi = band_limits(points)
+        np.testing.assert_array_equal(got_lo.view(np.uint64), lo.view(np.uint64))
+        np.testing.assert_array_equal(got_hi.view(np.uint64), hi.view(np.uint64))
+
+    @given(st.lists(st.tuples(near_edge, near_edge, near_edge), min_size=1, max_size=20))
+    @example([CROSSED])
+    def test_clamp_matches_the_where_collapse_near_edges(self, points):
+        _, lo, hi = where_collapsed(points)
+        got_lo, got_hi = band_limits(points)
+        np.testing.assert_array_equal(got_lo.view(np.uint64), lo.view(np.uint64))
+        np.testing.assert_array_equal(got_hi.view(np.uint64), hi.view(np.uint64))
 
     def test_band_map_memory_stays_near_its_output(self):
         # the output, the lattice and one block of temporaries
