@@ -217,22 +217,24 @@ class TestBandKernel:
         assert bits(lo) == bits([r[0] for r in ref])
         assert bits(hi) == bits([r[1] for r in ref])
 
+    @staticmethod
+    def assert_clamp_matches_the_where_collapse(points):
+        """band_limits gives the bits of where_collapsed; returns the number
+        of crossed pairs the input holds."""
+        crossed, *want = where_collapsed(points)
+        for got, ref in zip(band_limits(points), want):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        return crossed
+
     @pytest.mark.parametrize("resolution", [25, 101])
     def test_clamp_matches_the_where_collapse_on_lattices(self, resolution):
-        points = grid_points(resolution)
-        crossed, lo, hi = where_collapsed(points)
-        assert crossed > 0  # the lattice exercises the clamp
-        got_lo, got_hi = band_limits(points)
-        np.testing.assert_array_equal(got_lo.view(np.uint64), lo.view(np.uint64))
-        np.testing.assert_array_equal(got_hi.view(np.uint64), hi.view(np.uint64))
+        # the lattice holds crossed pairs, so it exercises the clamp
+        assert self.assert_clamp_matches_the_where_collapse(grid_points(resolution)) > 0
 
     @given(st.lists(st.tuples(near_edge, near_edge, near_edge), min_size=1, max_size=20))
     @example([CROSSED])
     def test_clamp_matches_the_where_collapse_near_edges(self, points):
-        _, lo, hi = where_collapsed(points)
-        got_lo, got_hi = band_limits(points)
-        np.testing.assert_array_equal(got_lo.view(np.uint64), lo.view(np.uint64))
-        np.testing.assert_array_equal(got_hi.view(np.uint64), hi.view(np.uint64))
+        self.assert_clamp_matches_the_where_collapse(points)
 
     def test_band_map_memory_stays_near_its_output(self):
         # the output, the lattice and one block of temporaries
