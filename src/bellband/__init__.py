@@ -1,6 +1,8 @@
 """Numerical toolkit for CHSH constraints on singlet correlations and the
 regularity of the one unknown correlation on the positive angle cube."""
 
+import types as _types
+
 __version__ = "0.1.0"
 
 from .band import Interval, LpResult, band_map, feasible_band, feasible_distribution, lp_band
@@ -47,44 +49,8 @@ from .sampling import (
     sample_singlet_pairs,
 )
 
-__all__ = [
-    "__version__",
-    "AngleTriple",
-    "AnalysisReport",
-    "BellbandError",
-    "BooleResult",
-    "CorrelationVector",
-    "DomainError",
-    "F4Candidate",
-    "GridFormatError",
-    "InfeasibleError",
-    "Interval",
-    "JointDistribution2",
-    "JointDistribution4",
-    "LpResult",
-    "OctetSequences",
-    "QuadraticFit",
-    "ShapeError",
-    "Violation",
-    "as_outcomes",
-    "axis_derivative_check",
-    "band_map",
-    "boole_check",
-    "chsh_value",
-    "contradiction_report",
-    "correlations_from_angles",
-    "direction_quotients",
-    "empirical_correlation",
-    "feasible_band",
-    "feasible_distribution",
-    "gradient_at_origin",
-    "inequality_scan",
-    "lp_band",
-    "polytope_member",
-    "quadratic_fit",
-    "sample_lhv_pairs",
-    "sample_octet",
-    "sample_singlet_pairs",
-    "singlet_joint",
-    "twisted_malus",
-]
+# every public name imported above, but not the submodules that importing them binds
+__all__ = ["__version__", *(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)]

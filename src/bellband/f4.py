@@ -51,6 +51,8 @@ class F4Candidate(_ArrayFields):
     grid_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise GridFormatError("candidate name must be a string")
         if self.kind in BUILTIN_KINDS:
             if self.grid_values is not None:
                 raise GridFormatError(f"builtin candidate {self.kind!r} takes no grid")
@@ -101,11 +103,8 @@ class F4Candidate(_ArrayFields):
             values = doc["values"]
         except KeyError as exc:
             raise GridFormatError(f"grid document is missing field {exc}") from exc
-        name = doc.get("name", "grid")
-        if not isinstance(name, str):
-            raise GridFormatError("grid document's name must be a JSON string")
         # checked after from_grid's own checks, whose messages it keeps
-        candidate = cls.from_grid(resolution, values, name=name)
+        candidate = cls.from_grid(resolution, values, name=doc.get("name", "grid"))
         if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
             raise GridFormatError("grid values must be a flat list of JSON numbers")
         return candidate

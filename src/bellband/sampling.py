@@ -28,9 +28,10 @@ CHUNK = 1 << 16
 
 @functools.cache
 def _pool():
-    """The thread pool that fills sampler chunks, made on first use: importing
-    concurrent.futures costs 5-8 ms, which an import of the CLI should not
-    pay.  numpy's generators and ufuncs release the GIL on whole chunks."""
+    """The thread pool that fills sampler chunks and checks the blocks of a
+    sequence file, made on first use: importing concurrent.futures costs
+    5-8 ms, which an import of the CLI should not pay.  numpy's generators
+    and ufuncs release the GIL on whole chunks."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
@@ -40,6 +41,13 @@ def _pool():
 # inherited pool would wait for them forever; Windows has no fork
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_chunks(task, n: int) -> list:
+    """``task(start)`` at the start of each ``CHUNK`` of n rows, run on the
+    kept pool, and the results in chunk order.  ``_pool`` is looked up on each
+    call, so a patched pool serves every caller."""
+    return list(_pool().map(task, range(0, n, CHUNK)))
 
 
 def _sample(n: int, seed: int, k: int, draw) -> tuple:
@@ -59,8 +67,7 @@ def _sample(n: int, seed: int, k: int, draw) -> tuple:
         draw(rng, block[:, start:start + CHUNK])
 
     # reading every result raises the exception of a chunk whose draw failed
-    for _ in _pool().map(fill, range(0, n, CHUNK)):
-        pass
+    _map_chunks(fill, n)
     return tuple(block)
 
 

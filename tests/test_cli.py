@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bellband
-from bellband import __version__, band_map, cli
+from bellband import __version__, band_map, cli, sampling
 from bellband.band import band_limits
 from bellband.chsh import octet_correlations
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
@@ -322,23 +323,31 @@ class TestSequenceCodec:
 
     def test_memory_stays_within_a_block(self, tmp_path):
         # the writer holds one block of rows whatever n is; the reader holds
-        # the bytes it read, the columns and a few blocks of buffers
+        # the bytes it read, the columns and one scratch sub-block per worker,
+        # so its bound holds on a pool of more threads than cores too
         n, k = 10**6, 4
         data = _random_signs(0, (k, n))
         columns = {f"c{j}": data[j] for j in range(k)}
         path = tmp_path / "seq.csv"
         _write_sequence_csv(str(path), columns)
-        for call, bound in (
-            (lambda: _write_sequence_csv(os.devnull, columns), 2 * 2**20),
-            (lambda: _read_sequence_csv(str(path)), path.stat().st_size + k * n + 4 * 2**20),
-        ):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound
+
+        def read():
+            _read_sequence_csv(str(path))
+
+        reader_bound = path.stat().st_size + k * n + 4 * 2**20
+        with ThreadPoolExecutor(max_workers=8) as eight:
+            for call, bound in (
+                (lambda: _write_sequence_csv(os.devnull, columns), 2 * 2**20),
+                (read, reader_bound),
+                (mock.patch.object(sampling, "_pool", lambda: eight)(read), reader_bound),
+            ):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound
 
 
 def _savetxt_table_reference(rows) -> bytes:

@@ -146,8 +146,13 @@ class TestCandidates:
         # a name that is not a string was once reported as its Python str()
         *(pytest.param(lambda name=name: F4Candidate.from_json(
             f'{{"kind": "grid", "name": {name}, "resolution": 2, "values": [0,0,0,0,0,0,0,0]}}'),
-                       "^grid document's name must be a JSON string$", id=f"name-{name}")
+                       "^candidate name must be a string$", id=f"name-{name}")
           for name in ("null", '{"a": 1}', "true", "5", '["grid"]')),
+        # and was not checked at all in a library call
+        pytest.param(lambda: F4Candidate(kind="product", name=5),
+                     "^candidate name must be a string$", id="builtin-name-5"),
+        pytest.param(lambda: F4Candidate.from_grid(2, [0.0] * 8, name=None),
+                     "^candidate name must be a string$", id="from-grid-name-None"),
     ],
 )
 def test_candidate_rejections(make, message):

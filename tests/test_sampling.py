@@ -26,7 +26,9 @@ from bellband import (
     sample_singlet_pairs,
 )
 from bellband import sampling
+from bellband.cli import _read_sequence_csv, _write_sequence_csv
 from bellband.core import singlet_joint
+from bellband.errors import BellbandError
 from bellband.sampling import CHUNK, _categorical
 
 UNIFORM = JointDistribution4(np.full(16, 1.0 / 16.0))
@@ -364,10 +366,11 @@ def _digest(columns) -> str:
 
 
 class _LastChunkFirst:
-    """A pool that fills the chunks in reverse order, in the calling thread."""
+    """A pool that runs the chunks in reverse order, in the calling thread,
+    and returns their results in input order, as ``Executor.map`` does."""
 
-    def map(self, fill, starts):
-        return [fill(start) for start in reversed(starts)]
+    def map(self, task, starts):
+        return [task(start) for start in reversed(starts)][::-1]
 
 
 _POOLS = {
@@ -392,6 +395,35 @@ def test_bytes_do_not_depend_on_the_pool(monkeypatch, pool, name, n):
     finally:
         sys.setswitchinterval(interval)
     _assert_columns_equal(columns, pooled)
+
+
+def _read_under(pool, path):
+    """What the sequence reader gives for ``path`` on ``pool``: its columns
+    as bytes, or its error message."""
+    with pool() as other, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_pool", lambda: other)
+        try:
+            return {name: c.tobytes() for name, c in _read_sequence_csv(str(path)).items()}
+        except BellbandError as exc:
+            return str(exc)
+
+
+@pytest.mark.parametrize("pool", _POOLS.values(), ids=_POOLS.keys())
+def test_reader_does_not_depend_on_the_pool(tmp_path, pool):
+    path = tmp_path / "octet.csv"
+    columns = vars(sample_octet(UNIFORM, 5 * CHUNK + 3, seed=8))
+    _write_sequence_csv(str(path), columns)
+    assert _read_under(pool, path) == {name: c.tobytes() for name, c in columns.items()}
+    # bad cells in the fifth and the second block: the earlier one is named
+    text = bytearray(path.read_bytes())
+    later, earlier = (20 + 12 * row + 3 * cell
+                      for row, cell in ((4 * CHUNK + 9, 0), (CHUNK + 5, 2)))
+    text[later + 1] = text[earlier + 1] = ord("x")
+    path.write_bytes(text)
+    assert _read_under(pool, path) == (
+        f"{path} is not a table of +1/-1 cells: cell {bytes(text[earlier:earlier + 3])!r} "
+        f"on line {CHUNK + 7}, column 'a_bo'"
+    )
 
 
 def _sample_in_child(results):
