@@ -373,6 +373,17 @@ class _LastChunkFirst:
         return [task(start) for start in reversed(starts)][::-1]
 
 
+@contextlib.contextmanager
+def _switching_often():
+    """Threads switched every microsecond, not every 5 ms."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 _POOLS = {
     "one-thread": lambda: ThreadPoolExecutor(max_workers=1),
     # more threads than cores
@@ -386,21 +397,16 @@ _POOLS = {
 @pytest.mark.parametrize("pool", _POOLS.values(), ids=_POOLS.keys())
 def test_bytes_do_not_depend_on_the_pool(monkeypatch, pool, name, n):
     pooled = _SAMPLERS[name](n)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often
-    try:
-        with pool() as other:
-            monkeypatch.setattr(sampling, "_pool", lambda: other)
-            columns = _SAMPLERS[name](n)
-    finally:
-        sys.setswitchinterval(interval)
+    with _switching_often(), pool() as other:
+        monkeypatch.setattr(sampling, "_pool", lambda: other)
+        columns = _SAMPLERS[name](n)
     _assert_columns_equal(columns, pooled)
 
 
 def _read_under(pool, path):
     """What the sequence reader gives for ``path`` on ``pool``: its columns
     as bytes, or its error message."""
-    with pool() as other, pytest.MonkeyPatch.context() as patch:
+    with _switching_often(), pool() as other, pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "_pool", lambda: other)
         try:
             return {name: c.tobytes() for name, c in _read_sequence_csv(str(path)).items()}
