@@ -30,9 +30,7 @@ from .chsh import (
 from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
 from .errors import BellbandError, DomainError
 from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
-from .sampling import (
-    CHUNK, OctetSequences, _map_chunks, sample_lhv_pairs, sample_octet, sample_singlet_pairs,
-)
+from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
 class _Text(str):
@@ -86,10 +84,10 @@ def _candidate(args) -> F4Candidate:
 # A sequence file is a header line of column names joined by "," and then
 # rows of k cells, each exactly "+1" or "-1", joined by "," and ended by
 # "\n".  Every data row is k cells of exactly 3 bytes, so both directions
-# are array operations on (m, k, 3) uint8 blocks of at most CHUNK rows.
-# The writer reuses one block of rows.  The reader checks its blocks on the
-# samplers' kept pool, each in steps of _CHECK_ROWS rows through one scratch
-# buffer, so each worker holds 196 KB at k = 4 whatever the pool's size.
+# are array operations on bytes.  The writer reuses one (m, k, 3) block of
+# at most CHUNK rows.  The reader checks and decodes the bytes it read in
+# one serial pass, in steps of _CHECK_ROWS rows through one scratch step
+# (196 KB at k = 4).
 _COMMA = ord(",")
 _CHECK_ROWS = 1 << 14
 
@@ -141,57 +139,51 @@ def _read_sequence_csv(path: str) -> dict:
         data = fh.read()
     if not data:
         raise BellbandError(f"{path} is empty")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    offset = data.index(b"\n") + 1
+    # a missing final newline is counted, not appended: appending copies the file
+    size = len(data) + (not data.endswith(b"\n"))
+    offset = data.find(b"\n") + 1 or size
     try:
         names = data[:offset - 1].decode("utf-8").split(",")
     except UnicodeDecodeError as exc:
         raise BellbandError(f"{path} has a header that is not UTF-8: {exc}") from None
     if "" in names or len(set(names)) != len(names):
         raise BellbandError(f"{path} needs distinct, non-empty column names, got {names}")
-    k, size = len(names), len(data) - offset
+    k, size = len(names), size - offset
     if size % (3 * k):
         raise BellbandError(
             f"{path} is not a table of +1/-1 cells: its {size} bytes of rows "
             f"are not a whole number of {k}-cell rows of 3 bytes a cell"
         )
-    rows = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(-1, k, 3)
-    n = len(rows)
-    template = _rows_template(min(_CHECK_ROWS, n), k)
-    # "-" - "+" is 2, so (block - template) & keep is 0 exactly where a byte
+    # the rows' bytes, one short of a whole last row if the newline is missing
+    cells = np.frombuffer(memoryview(data)[offset:], dtype=np.uint8)
+    n = size // (3 * k)
+    template = _rows_template(min(_CHECK_ROWS, n), k).reshape(-1)
+    # "-" - "+" is 2, so (step - template) & keep is 0 exactly where a byte
     # is the template's, or "-" in place of a sign byte's "+"
     keep = np.full_like(template, 0xFF)
-    keep[:, :, 0] = 0xFD
+    keep[::3] = 0xFD
+    diff = np.empty_like(template)
     values = np.empty((k, n), dtype=np.int8)
-
-    def decode(start):
-        """Check rows start to start + CHUNK and decode them into ``values``;
-        the (row, cell) of their first bad cell instead, if they have one."""
-        block = rows[start:start + CHUNK]
-        diff = np.empty_like(template)
-        for first in range(0, len(block), _CHECK_ROWS):
-            part = block[first:first + _CHECK_ROWS]
-            d = diff[:len(part)]
-            np.subtract(part, template[:len(d)], out=d)
-            d &= keep[:len(d)]
-            if d.max():  # a uint8 max is about 3x faster than any()
-                row, cell = np.argwhere(d)[0, :2]
-                return start + first + row, cell
-        out = values[:, start:start + CHUNK]
-        np.copyto(out, block[:, :, 0].T.view(np.int8))
-        # "," - "+" is +1 and "," - "-" is -1
-        np.subtract(_COMMA, out, out=out)
-        return None
-
-    # the blocks' results in file order, so the first bad cell of the file is reported
-    for bad in _map_chunks(decode, n):
-        if bad is not None:
-            row, cell = bad
+    for start in range(0, len(cells), 3 * k * _CHECK_ROWS):
+        step = cells[start:start + len(template)]
+        d = diff[:len(step)]
+        np.subtract(step, template[:len(d)], out=d)
+        d &= keep[:len(d)]
+        if d.max():  # a uint8 max is about 3x faster than any()
+            byte = start + np.flatnonzero(d)[0]
+            row, cell = divmod(byte // 3, k)
+            at = offset + byte - byte % 3
+            # padded by the final newline, if the file lacks it
+            bad = (data[at:at + 3] + b"\n")[:3]
             raise BellbandError(
-                f"{path} is not a table of +1/-1 cells: cell {rows[row, cell].tobytes()!r} "
+                f"{path} is not a table of +1/-1 cells: cell {bad!r} "
                 f"on line {row + 2}, column {names[cell]!r}"
             )
+        # the step's sign bytes, copied while the step is in cache
+        row = start // (3 * k)
+        np.copyto(values[:, row:row + _CHECK_ROWS], step[::3].reshape(-1, k).T.view(np.int8))
+    # "," - "+" is +1 and "," - "-" is -1
+    np.subtract(_COMMA, values, out=values)
     return dict(zip(names, values))
 
 

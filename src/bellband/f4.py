@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,8 +46,8 @@ class F4Candidate(_ArrayFields):
 
     kind: str
     name: str
-    grid_resolution: Optional[int] = None
-    grid_values: Optional[np.ndarray] = None
+    grid_resolution: int | None = None
+    grid_values: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -94,7 +93,7 @@ class F4Candidate(_ArrayFields):
         """Load a grid document from JSON text or its UTF-8 bytes."""
         try:
             doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
             raise GridFormatError(f"grid document is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("kind") != "grid":
             raise GridFormatError('grid document must be an object with kind:"grid"')
@@ -354,7 +353,7 @@ class AnalysisReport:
     contradiction: bool
     jump_spread: float
     flags: tuple = ()
-    disclaimer: Optional[str] = None
+    disclaimer: str | None = None
 
     def to_dict(self) -> dict:
         return _plain(self)

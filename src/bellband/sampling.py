@@ -28,10 +28,9 @@ CHUNK = 1 << 16
 
 @functools.cache
 def _pool():
-    """The thread pool that fills sampler chunks and checks the blocks of a
-    sequence file, made on first use: importing concurrent.futures costs
-    5-8 ms, which an import of the CLI should not pay.  numpy's generators
-    and ufuncs release the GIL on whole chunks."""
+    """The thread pool that fills sampler chunks, made on first use:
+    importing concurrent.futures costs 5-8 ms, which an import of the CLI
+    should not pay.  numpy's generators release the GIL on whole chunks."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
@@ -41,13 +40,6 @@ def _pool():
 # inherited pool would wait for them forever; Windows has no fork
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _map_chunks(task, n: int) -> list:
-    """``task(start)`` at the start of each ``CHUNK`` of n rows, run on the
-    kept pool, and the results in chunk order.  ``_pool`` is looked up on each
-    call, so a patched pool serves every caller."""
-    return list(_pool().map(task, range(0, n, CHUNK)))
 
 
 def _sample(n: int, seed: int, k: int, draw) -> tuple:
@@ -67,7 +59,7 @@ def _sample(n: int, seed: int, k: int, draw) -> tuple:
         draw(rng, block[:, start:start + CHUNK])
 
     # reading every result raises the exception of a chunk whose draw failed
-    _map_chunks(fill, n)
+    list(_pool().map(fill, range(0, n, CHUNK)))
     return tuple(block)
 
 
@@ -140,7 +132,10 @@ class JointDistribution4(_ArrayFields):
     CORRELATIONS = {"c1": (0, 1), "c2": (2, 1), "c3": (0, 3), "f": (2, 3)}
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+        try:
+            p = np.array(self.p, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"probabilities must be real numbers: {exc}") from None
         if p.shape != (16,):
             raise ShapeError(f"expected 16 probabilities, got shape {p.shape}")
         _check_probabilities(p)
@@ -163,6 +158,8 @@ class OctetSequences(_ArrayFields):
         for name, column in tuple(vars(self).items()):
             # a view, so no copy is made and the caller's array keeps its flags
             column = np.asarray(column).view()
+            if column.ndim == 0:
+                raise ShapeError(f"{name} must be a sequence, got {column.item()!r}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         n = len(self.a_oo)

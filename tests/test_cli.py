@@ -323,13 +323,15 @@ class TestSequenceCodec:
 
     def test_memory_stays_within_a_block(self, tmp_path):
         # the writer holds one block of rows whatever n is; the reader holds
-        # the bytes it read, the columns and one scratch sub-block per worker,
-        # so its bound holds on a pool of more threads than cores too
+        # the bytes it read, the columns and one scratch step, on any pool,
+        # and makes no copy of a file whose final newline is missing
         n, k = 10**6, 4
         data = _random_signs(0, (k, n))
         columns = {f"c{j}": data[j] for j in range(k)}
         path = tmp_path / "seq.csv"
         _write_sequence_csv(str(path), columns)
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(path.read_bytes()[:-1])
 
         def read():
             _read_sequence_csv(str(path))
@@ -340,6 +342,7 @@ class TestSequenceCodec:
                 (lambda: _write_sequence_csv(os.devnull, columns), 2 * 2**20),
                 (read, reader_bound),
                 (mock.patch.object(sampling, "_pool", lambda: eight)(read), reader_bound),
+                (lambda: _read_sequence_csv(str(cut)), reader_bound),
             ):
                 tracemalloc.start()
                 try:

@@ -121,6 +121,9 @@ class TestCandidates:
             '{"kind": "grid", "resolution": 2, "values": [[0,0],[0,0],[0,0],[0,0]]}',
             '{"kind": "grid", "resolution": 2, "values": ["0","0","0","0","0","0","0","0"]}',
             pytest.param(b"\xff\xfe{", id="not-utf-8"),
+            # neither text nor bytes: json.loads's TypeError
+            pytest.param(5, id="int"),
+            pytest.param(None, id="None"),
             pytest.param(
                 '{"kind": "grid", "resolution": 2, "values": [0,0,0,0,0,0,0,0]}'.encode("utf-16"),
                 id="utf-16",

@@ -120,6 +120,11 @@ class TestJointDistribution4:
             JointDistribution4(np.full(16, 0.1))
         with pytest.raises(ShapeError):
             JointDistribution4(np.full(8, 0.125))
+        # what float() rejects is a DomainError, not numpy's ValueError or TypeError
+        with pytest.raises(DomainError, match="^probabilities must be real numbers: "):
+            JointDistribution4("abc")
+        with pytest.raises(DomainError, match="^probabilities must be real numbers: "):
+            JointDistribution4(object())
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, entry):
@@ -199,6 +204,12 @@ class TestOctetSampler:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             OctetSequences(np.ones(3), np.ones(3), np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("scalar", [1, "abc", None])
+    def test_scalar_columns_rejected(self, scalar):
+        # a scalar once raised len()'s TypeError
+        with pytest.raises(ShapeError, match=f"^b_ob must be a sequence, got {scalar!r}$"):
+            OctetSequences(np.ones(3), np.ones(3), np.ones(3), scalar)
 
     def test_sampled_octets_satisfy_boole(self):
         rng = np.random.default_rng(8)
@@ -431,6 +442,21 @@ def test_reader_does_not_depend_on_the_pool(tmp_path, pool):
         f"on line {CHUNK + 7}, column 'a_bo'"
     )
 
+
+
+def test_reader_never_touches_the_pool(tmp_path, monkeypatch):
+    path = tmp_path / "octet.csv"
+    columns = vars(sample_octet(UNIFORM, 2 * CHUNK + 3, seed=8))
+    _write_sequence_csv(str(path), columns)
+
+    def no_pool():
+        raise AssertionError("the sequence reader asked for the pool")
+
+    monkeypatch.setattr(sampling, "_pool", no_pool)
+    read = _read_sequence_csv(str(path))
+    assert {name: c.tobytes() for name, c in read.items()} == {
+        name: c.tobytes() for name, c in columns.items()
+    }
 
 def _sample_in_child(results):
     results.put(_digest(_SAMPLERS["octet"](3 * CHUNK)))
