@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BAND_TOL, GRID_BLOCK, ROUND_TOL, AngleTriple, _finite, _real, grid_points, q_plus_points,
-    singlet_correlation,
+    BAND_TOL, ROUND_TOL, AngleTriple, _finite, _grid_resolution, _real, grid_blocks,
+    q_plus_points, singlet_correlation,
 )
 from .errors import DomainError, InfeasibleError
 from .sampling import JointDistribution4
@@ -53,7 +53,12 @@ def band_limits(points) -> tuple[np.ndarray, np.ndarray]:
     by the CHSH inequalities, elementwise over triples of shape (..., 3)
     in the positive cube."""
     pts = q_plus_points(points)
-    c1, c2, c3 = (singlet_correlation(pts[..., k]) for k in range(3))
+    return _band(*(singlet_correlation(pts[..., k]) for k in range(3)))
+
+
+def _band(c1, c2, c3) -> tuple[np.ndarray, np.ndarray]:
+    """The band kernel: endpoints (lo, hi) from the three known correlations,
+    elementwise over arrays that broadcast together."""
     r1 = 2.0 - np.abs(c1 + c2)
     r2 = 2.0 - np.abs(c1 - c2)
     lo = np.maximum(np.maximum(c3 - r1, -c3 - r2), -1.0)
@@ -75,18 +80,17 @@ def feasible_band(theta: AngleTriple) -> Interval:
 def band_map(resolution: int) -> np.ndarray:
     """Band endpoints over the uniform resolution^3 grid on the positive
     cube, as rows (theta1, theta2, theta3, lo, hi, width) in theta1-major
-    order."""
-    points = grid_points(resolution)
-    rows = np.empty((len(points), 6))
-    rows[:, :3] = points
-    del points
-    # one block at a time, so the kernel's temporaries stay block-sized
-    for start in range(0, len(rows), GRID_BLOCK):
-        part = rows[start:start + GRID_BLOCK]
-        lo, hi = band_limits(part[:, :3])
-        part[:, 3] = lo
-        part[:, 4] = hi
-        np.subtract(hi, lo, out=part[:, 5])
+    order.  The table is filled one ``grid_blocks`` block at a time, so
+    beside it the walk holds one block's points and temporaries."""
+    r = _grid_resolution(resolution)
+    rows = np.empty((r ** 3, 6))
+    for nodes, points, c in grid_blocks(r):
+        part = rows[nodes]
+        part[:, :3] = points
+        lo, hi = _band(*c)
+        part[:, 3] = lo.reshape(-1)
+        part[:, 4] = hi.reshape(-1)
+        np.subtract(part[:, 4], part[:, 3], out=part[:, 5])
     return rows
 
 

@@ -118,20 +118,51 @@ def q_plus_points(points) -> np.ndarray:
 MAX_GRID_RESOLUTION = 200
 
 
-def grid_points(resolution: int) -> np.ndarray:
-    """The uniform resolution^3 node lattice on the positive cube as rows
-    (theta1, theta2, theta3) in theta1-major order."""
-    resolution = _integer(resolution, "resolution")
+def _grid_resolution(value) -> int:
+    """A grid resolution: an integer in [2, MAX_GRID_RESOLUTION]."""
+    resolution = _integer(value, "resolution")
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise DomainError(f"resolution must lie in [2, {MAX_GRID_RESOLUTION}], got {resolution}")
-    axis = np.linspace(0.0, math.pi, resolution)
-    lattice = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
-    return np.stack(lattice, axis=-1).reshape(-1, 3)
+    return resolution
 
 
-#: lattice points that a walk over a grid computes at a time; a block holds
-#: the 25^3 = 15,625 nodes of a resolution-25 grid whole
+def grid_points(resolution: int) -> np.ndarray:
+    """The uniform resolution^3 node lattice on the positive cube as rows
+    (theta1, theta2, theta3) in theta1-major order: the points of
+    ``grid_blocks`` put together."""
+    r = _grid_resolution(resolution)
+    points = np.empty((r ** 3, 3))
+    for nodes, block, _ in grid_blocks(r):
+        points[nodes] = block
+    return points
+
+
+#: most lattice nodes that a walk over a grid holds at a time; a block is
+#: GRID_BLOCK // r whole theta3-rows, so the 25^3 = 15,625 nodes of a
+#: resolution-25 grid are one block
 GRID_BLOCK = 1 << 14
+
+
+def grid_blocks(resolution: int):
+    """Walk the uniform resolution^3 lattice in theta1-major order, in blocks
+    of GRID_BLOCK // r whole theta3-rows of r nodes.  Each block yields its
+    node slice, its (m, 3) points, and its correlations -cos(theta) as
+    (c1, c2, c3): a (rows, 1) column, a (rows, 1) column and the (r,) axis
+    table, which broadcast to the block's (rows, r) nodes.  The r cosines
+    of the axis are the only ones computed."""
+    r = _grid_resolution(resolution)
+    axis = np.linspace(0.0, math.pi, r)
+    table = singlet_correlation(axis)
+    step = GRID_BLOCK // r
+    for first in range(0, r * r, step):
+        # theta3-row q of the lattice holds the nodes with (i1, i2) = divmod(q, r)
+        i1, i2 = np.divmod(np.arange(first, min(first + step, r * r))[:, None], r)
+        points = np.empty((len(i1), r, 3))
+        points[..., 0] = axis[i1]
+        points[..., 1] = axis[i2]
+        points[..., 2] = axis
+        nodes = slice(first * r, (first + len(i1)) * r)
+        yield nodes, points.reshape(-1, 3), (table[i1], table[i2], table)
 
 
 class _ArrayFields:

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # feasible_band's one reader here is bench/layers.py, which wraps f4.feasible_band
-from .band import band_limits, feasible_band  # noqa: F401
+from .band import _band, feasible_band  # noqa: F401
 from .core import (
-    BAND_TOL, GRID_BLOCK, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_points,
-    q_plus_points, singlet_correlation,
+    BAND_TOL, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_blocks, q_plus_points,
+    singlet_correlation,
 )
 from .errors import DomainError, GridFormatError
 
@@ -450,21 +450,23 @@ class Violation:
 
 def inequality_scan(candidate, resolution: int) -> list[Violation]:
     """Scan the uniform resolution^3 grid over the positive cube for band
-    violations, and the diagonal nodes for departures from -cos(theta), in
-    blocks of ``GRID_BLOCK`` nodes, so that the temporaries stay block-sized."""
-    lattice = grid_points(resolution)
+    violations, and the diagonal nodes for departures from -cos(theta), one
+    ``grid_blocks`` block at a time, so that it holds one block's points and
+    temporaries, and its violations."""
     violations = []
-    for start in range(0, len(lattice), GRID_BLOCK):
-        points = lattice[start:start + GRID_BLOCK]
-        values = np.asarray(candidate.values(points), dtype=float)  # Python floats below
-        lo, hi = band_limits(points)
-        forced = singlet_correlation(points[:, 0])
+    for _, points, (c1, c2, c3) in grid_blocks(resolution):
+        # Python floats below
+        values = np.asarray(candidate.values(points), dtype=float).reshape(len(c1), -1)
+        lo, hi = _band(c1, c2, c3)
         band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
         on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
-        diagonal_bad = on_diagonal & (np.abs(values - forced) > BAND_TOL)
+        # the forced value -cos(theta1) is the row's c1
+        diagonal_bad = on_diagonal.reshape(values.shape) & (np.abs(values - c1) > BAND_TOL)
         k = np.flatnonzero(band_bad | diagonal_bad)
-        rows = zip(points[k].tolist(), values[k].tolist(), lo[k].tolist(), hi[k].tolist(),
-                   forced[k].tolist(), band_bad[k].tolist(), diagonal_bad[k].tolist())
+        forced = c1[k // len(c3), 0]
+        rows = zip(points[k].tolist(), values.flat[k].tolist(), lo.flat[k].tolist(),
+                   hi.flat[k].tolist(), forced.tolist(), band_bad.flat[k].tolist(),
+                   diagonal_bad.flat[k].tolist())
         for t, value, lo_k, hi_k, forced_k, is_band, is_diagonal in rows:
             if is_band:
                 violations.append(Violation(tuple(t), "band", value, lo_k, hi_k))

@@ -160,6 +160,8 @@ class OctetSequences(_ArrayFields):
             column = np.asarray(column).view()
             if column.ndim == 0:
                 raise ShapeError(f"{name} must be a sequence, got {column.item()!r}")
+            if column.ndim != 1:
+                raise ShapeError(f"{name} must be 1-d, got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         n = len(self.a_oo)

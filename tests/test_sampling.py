@@ -198,7 +198,7 @@ class TestOctetSampler:
         octet = OctetSequences(*[np.ones(4, dtype=np.int8)] * 4)
         assert octet == OctetSequences(*[np.ones(4, dtype=np.int8)] * 4)
         assert octet != OctetSequences(*[np.ones(4)] * 4)
-        assert octet != OctetSequences(*[np.ones((4, 1), dtype=np.int8)] * 4)
+        assert octet != OctetSequences(*[np.ones(5, dtype=np.int8)] * 4)
         assert octet != OctetSequences(*[np.ones(4, dtype=np.int8)] * 3, -np.ones(4, dtype=np.int8))
 
     def test_length_mismatch_rejected(self):
@@ -207,6 +207,8 @@ class TestOctetSampler:
         # a scalar has no length: it once raised len()'s TypeError
         with pytest.raises(ShapeError, match="^a_oo must be a sequence, got 1$"):
             OctetSequences(1, 1, 1, 1)
+        with pytest.raises(ShapeError, match=r"^a_oo must be 1-d, got shape \(4, 1\)$"):
+            OctetSequences(*[np.ones((4, 1), dtype=np.int8)] * 4)
 
     def test_sampled_octets_satisfy_boole(self):
         rng = np.random.default_rng(8)
