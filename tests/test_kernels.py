@@ -221,8 +221,9 @@ class TestBandKernel:
     def test_band_map_rows_match_reference(self):
         assert bits(band_map(25)) == bits(ref_band_map(25))
 
-    # blocks of whole theta3-rows end part-way through a theta1-plane for most
-    # r, and part-way through the grid at 127 and 129
+    # up to r = 25 the grid is one block; above it a block of whole theta3-rows
+    # mostly ends part-way through a theta1-plane, and the last block is short
+    # at 127 and 129, while at 128 each block is one plane
     @pytest.mark.parametrize("resolution", [*range(2, 61), 127, 128, 129])
     def test_band_map_is_the_lattice_and_its_band_limits(self, resolution):
         points = grid_points(resolution)
