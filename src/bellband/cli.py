@@ -29,7 +29,7 @@ from .chsh import (
 )
 from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
 from .errors import BellbandError, DomainError
-from .f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
+from .f4 import BUILTIN_KINDS, F4Candidate, Violation, contradiction_report, inequality_scan
 from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
@@ -57,6 +57,8 @@ def dumps(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, str):
         return obj if isinstance(obj, _Text) else json.dumps(obj)
+    if dataclasses.is_dataclass(type(obj)):  # an instance, as the dict of its fields in order
+        return dumps({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -280,15 +282,14 @@ def _cmd_octet(args) -> dict:
     }
 
 
-def _cmd_boole(args) -> dict:
+def _cmd_boole(args):
     cols = _read_sequence_csv(args.infile)
     # the OctetSequences fields, in the order of the pattern columns
     required = [field.name for field in dataclasses.fields(OctetSequences)]
     missing = [name for name in required if name not in cols]
     if missing:
         raise BellbandError(f"input CSV is missing columns {missing}")
-    result = boole_check(*(cols[name] for name in required))
-    return {"lhs1": result.lhs1, "lhs2": result.lhs2, "holds": result.holds}
+    return boole_check(*(cols[name] for name in required))
 
 
 def _cmd_chsh(args) -> dict:
@@ -326,14 +327,12 @@ def _cmd_lp_band(args) -> dict:
     }
 
 
-def _cmd_analyze(args) -> dict:
-    report = contradiction_report(_candidate(args), seed=args.seed)
-    return report.to_dict()
+def _cmd_analyze(args):
+    return contradiction_report(_candidate(args), seed=args.seed)
 
 
 # one Violation of scan's report: dumps writes a float as "%.17g" does, and a kind needs no escapes
-_VIOLATION = dumps({"theta": _Text("[%.17g, %.17g, %.17g]"), "kind": _Text('"%s"'),
-                    **dict.fromkeys(("value", "lo", "hi"), _Text("%.17g"))}, indent=2)
+_VIOLATION = dumps(Violation((_Text("%.17g"),) * 3, _Text('"%s"'), *[_Text("%.17g")] * 3), 2)
 
 
 def _cmd_scan(args) -> dict:

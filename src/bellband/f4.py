@@ -12,7 +12,6 @@ object also needs ``grid_resolution``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -134,9 +133,10 @@ class F4Candidate(_ArrayFields):
             return singlet_correlation(t2 + t3 - t1)
         if self.kind == "grid":
             return self._interpolate(pts)
-        product = singlet_correlation(t1) * np.cos(t2) * np.cos(t3)
+        c1 = singlet_correlation(t1)
+        product = c1 * np.cos(t2) * np.cos(t3)
         if self.kind == "product-diagonal":
-            return np.where((t1 == t2) & (t2 == t3), singlet_correlation(t1), product)
+            return np.where((t1 == t2) & (t2 == t3), c1, product)
         return product
 
     def evaluate(self, theta: AngleTriple) -> float:
@@ -203,6 +203,8 @@ def _halton(seed: int, n: int) -> np.ndarray:
     seed = _check_seed(seed)
     kept_seed, points = _halton_kept
     if kept_seed != seed or len(points) < n:
+        if 3 * 8 * n > np.iinfo(np.intp).max:
+            raise DomainError(f"{n} Halton points of three float64s exceed the address space")
         points = _draw_halton(seed, n)
         points.flags.writeable = False
         if n <= _HALTON_KEEP:
@@ -354,17 +356,6 @@ class AnalysisReport:
     jump_spread: float
     flags: tuple = ()
     disclaimer: str | None = None
-
-    def to_dict(self) -> dict:
-        return _plain(self)
-
-
-def _plain(value):
-    """``value`` with each dataclass, nested ones too, as a dict of its
-    fields and each tuple as a list."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _diagonal_coeff(candidate) -> float:

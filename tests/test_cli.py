@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from bellband.chsh import octet_correlations
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
 from bellband.core import MAX_GRID_RESOLUTION, grid_points
 from bellband.errors import BellbandError
-from bellband.f4 import BUILTIN_KINDS, F4Candidate, inequality_scan
+from bellband.f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
 from bellband.sampling import CHUNK
 
 
@@ -709,6 +710,12 @@ class TestDumps:
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError, match="cannot serialize"):
             cli.dumps({"value": [value]})
+
+    def test_value_type_as_the_dict_of_its_fields(self):
+        # a report holds a nested QuadraticFit, tuples and None
+        report = contradiction_report(F4Candidate.builtin("product"))
+        assert report.disclaimer is None
+        assert cli.dumps(report) == cli.dumps(dataclasses.asdict(report))
 
 
 def reference_scan(args) -> dict:

@@ -215,7 +215,8 @@ class TestEmpiricalCorrelation:
 
 
 def test_package_exports_what_it_imports():
-    # __all__ is written out by hand beside the imports that it lists
+    # __all__ is exactly the names imported from the submodules: no submodule and no private
+    # name leaks into the exports
     tree = ast.parse(Path(bellband.__file__).read_text(encoding="utf-8"))
     imported = [
         alias.asname or alias.name
@@ -256,6 +257,12 @@ class TestIntegerArguments:
         call, name, _ = INTEGER_ARGUMENTS[entry]
         with pytest.raises(DomainError, match=f"^{name} must be an integer"):
             call(value)
+
+    # a count past the address space once reached numpy's "Maximum allowed dimension exceeded"
+    def test_counts_past_the_address_space_rejected(self, entry):
+        call, _, _ = INTEGER_ARGUMENTS[entry]
+        with pytest.raises(DomainError):
+            call(10**30)
 
     def test_integral_values_accepted(self, entry):
         call, _, good = INTEGER_ARGUMENTS[entry]

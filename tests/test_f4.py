@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -312,7 +313,7 @@ class TestHaltonMemo:
         seeds = [0, 7, 2**64 - 1, 100, 101]
 
         def report(seed):
-            return json.dumps(contradiction_report(candidate, seed).to_dict())
+            return json.dumps(dataclasses.asdict(contradiction_report(candidate, seed)))
 
         cold = {}
         for seed in seeds:
@@ -564,6 +565,6 @@ class TestContradictionReport:
         assert report.disclaimer is not None
 
     def test_report_serializes(self):
-        doc = contradiction_report(F4Candidate.builtin("product")).to_dict()
+        doc = dataclasses.asdict(contradiction_report(F4Candidate.builtin("product")))
         text = json.dumps(doc)
         assert "diagonal_sum" in text

@@ -7,6 +7,7 @@ The report's axis and cross probes are checked the same way against their
 one-axis and one-pair forms, one ``values`` call and one solve each.
 """
 
+import dataclasses
 import itertools
 import math
 import re
@@ -337,8 +338,8 @@ class TestCandidateKernel:
             def values(self, points):
                 return np.array([candidate.evaluate(AngleTriple(*p)) for p in points], dtype=float)
 
-        batched = f4.contradiction_report(candidate, seed=3).to_dict()
-        pointwise = f4.contradiction_report(Pointwise(), seed=3).to_dict()
+        batched = dataclasses.asdict(f4.contradiction_report(candidate, seed=3))
+        pointwise = dataclasses.asdict(f4.contradiction_report(Pointwise(), seed=3))
         batched.pop("disclaimer")
         pointwise.pop("disclaimer")
         assert batched == pointwise
