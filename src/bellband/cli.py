@@ -27,9 +27,15 @@ from .band import band_map, feasible_band, feasible_distribution, lp_band
 from .chsh import (
     boole_check, chsh_value, correlations_from_angles, octet_correlations, polytope_member,
 )
-from .core import TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus
+from .core import (
+    TWO_PI, AngleTriple, empirical_correlation, grid_axis, singlet_correlation, twisted_malus,
+)
 from .errors import BellbandError, DomainError
-from .f4 import BUILTIN_KINDS, F4Candidate, Violation, contradiction_report, inequality_scan
+# inequality_scan's one reader here is bench/layers.py, which wraps cli.inequality_scan
+from .f4 import (  # noqa: F401
+    BUILTIN_KINDS, F4Candidate, Violation, _violation_rows, contradiction_report,
+    inequality_scan,
+)
 from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
@@ -331,16 +337,19 @@ def _cmd_analyze(args):
     return contradiction_report(_candidate(args), seed=args.seed)
 
 
-# one Violation of scan's report: dumps writes a float as "%.17g" does, and a kind needs no escapes
-_VIOLATION = dumps(Violation((_Text("%.17g"),) * 3, _Text('"%s"'), *[_Text("%.17g")] * 3), 2)
+# one Violation of scan's report: its theta cells are text, dumps writes a float as "%.17g"
+# does, and a kind needs no escapes
+_VIOLATION = dumps(Violation((_Text("%s"),) * 3, _Text('"%s"'), *[_Text("%.17g")] * 3), 2)
 
 
 def _cmd_scan(args) -> dict:
-    violations = inequality_scan(_candidate(args), args.resolution)
-    rows = [_VIOLATION % (*v.theta, v.kind, v.value, v.lo, v.hi) for v in violations]
+    candidate = _candidate(args)
+    # an angle takes r values, so each is formatted once, as dumps writes it
+    cells = [format(t, ".17g") for t in grid_axis(args.resolution).tolist()]
+    rows = [_VIOLATION % row for row in _violation_rows(candidate, args.resolution, cells)]
     return {
         "resolution": args.resolution,
-        "violation_count": len(violations),
+        "violation_count": len(rows),
         "violations": _Text("[" + ", ".join(rows) + "]"),
     }
 

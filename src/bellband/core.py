@@ -126,6 +126,12 @@ def _grid_resolution(value) -> int:
     return resolution
 
 
+def grid_axis(resolution) -> np.ndarray:
+    """The r angles 0, ..., pi of each axis of the uniform resolution^3 node
+    lattice, the one statement of its nodes."""
+    return np.linspace(0.0, math.pi, _grid_resolution(resolution))
+
+
 def grid_points(resolution: int) -> np.ndarray:
     """The uniform resolution^3 node lattice on the positive cube as rows
     (theta1, theta2, theta3) in theta1-major order: the points of
@@ -150,8 +156,8 @@ def grid_blocks(resolution: int):
     (c1, c2, c3): a (rows, 1) column, a (rows, 1) column and the (r,) axis
     table, which broadcast to the block's (rows, r) nodes.  The r cosines
     of the axis are the only ones computed."""
-    r = _grid_resolution(resolution)
-    axis = np.linspace(0.0, math.pi, r)
+    axis = grid_axis(resolution)
+    r = len(axis)
     table = singlet_correlation(axis)
     step = GRID_BLOCK // r
     for first in range(0, r * r, step):

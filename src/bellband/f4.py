@@ -21,8 +21,8 @@ import numpy as np
 # feasible_band's one reader here is bench/layers.py, which wraps f4.feasible_band
 from .band import _band, feasible_band  # noqa: F401
 from .core import (
-    BAND_TOL, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_blocks, q_plus_points,
-    singlet_correlation,
+    BAND_TOL, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_axis, grid_blocks,
+    q_plus_points, singlet_correlation,
 )
 from .errors import DomainError, GridFormatError
 
@@ -108,20 +108,21 @@ class F4Candidate(_ArrayFields):
         return candidate
 
     def _interpolate(self, pts: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation, summing the eight corners in d1, d2, d3 order."""
+        """Trilinear interpolation, summing from zero the eight corners in
+        d1, d2, d3 order, each weighted by (w1 * w2) * w3."""
         r = self.grid_resolution
         x = pts / math.pi * (r - 1)
         i0 = np.clip(np.floor(x).astype(int), 0, r - 2)
         w = x - i0
+        # each axis's weights (1 - w, w), and the nodes' flat index at corner d = 0
+        weights = [(1.0 - w[..., k], w[..., k]) for k in range(3)]
+        base = (i0[..., 0] * r + i0[..., 1]) * r + i0[..., 2]
+        nodes = self.grid_values.reshape(-1)
         v = np.zeros(pts.shape[:-1])
-        for d in np.ndindex(2, 2, 2):
-            node = self.grid_values[tuple(i0[..., k] + d[k] for k in range(3))]
-            weight = (
-                (w[..., 0] if d[0] else 1.0 - w[..., 0])
-                * (w[..., 1] if d[1] else 1.0 - w[..., 1])
-                * (w[..., 2] if d[2] else 1.0 - w[..., 2])
-            )
-            v += weight * node
+        for d1, d2 in np.ndindex(2, 2):
+            w12 = weights[0][d1] * weights[1][d2]
+            for d3 in (0, 1):
+                v += w12 * weights[2][d3] * nodes[base + ((d1 * r + d2) * r + d3)]
         return v
 
     def values(self, points) -> np.ndarray:
@@ -439,14 +440,13 @@ class Violation:
     hi: float
 
 
-def inequality_scan(candidate, resolution: int) -> list[Violation]:
-    """Scan the uniform resolution^3 grid over the positive cube for band
-    violations, and the diagonal nodes for departures from -cos(theta), one
-    ``grid_blocks`` block at a time, so that it holds one block's points and
-    temporaries, and its violations."""
-    violations = []
-    for _, points, (c1, c2, c3) in grid_blocks(resolution):
-        # Python floats below
+def _violation_blocks(candidate, resolution: int):
+    """The violations of ``inequality_scan``, one ``grid_blocks`` block at a
+    time, so that a walk holds one block's points and temporaries.  Each
+    block yields arrays over its violating nodes in lattice order: the node
+    index, the value, the band's lo and hi, the forced value -cos(theta1),
+    and the band and diagonal flags; a node may raise both."""
+    for nodes, points, (c1, c2, c3) in grid_blocks(resolution):
         values = np.asarray(candidate.values(points), dtype=float).reshape(len(c1), -1)
         lo, hi = _band(c1, c2, c3)
         band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
@@ -454,13 +454,30 @@ def inequality_scan(candidate, resolution: int) -> list[Violation]:
         # the forced value -cos(theta1) is the row's c1
         diagonal_bad = on_diagonal.reshape(values.shape) & (np.abs(values - c1) > BAND_TOL)
         k = np.flatnonzero(band_bad | diagonal_bad)
-        forced = c1[k // len(c3), 0]
-        rows = zip(points[k].tolist(), values.flat[k].tolist(), lo.flat[k].tolist(),
-                   hi.flat[k].tolist(), forced.tolist(), band_bad.flat[k].tolist(),
-                   diagonal_bad.flat[k].tolist())
-        for t, value, lo_k, hi_k, forced_k, is_band, is_diagonal in rows:
+        yield (nodes.start + k, values.flat[k], lo.flat[k], hi.flat[k], c1[k // len(c3), 0],
+               band_bad.flat[k], diagonal_bad.flat[k])
+
+
+def _violation_rows(candidate, resolution: int, axis: list):
+    """The violations of ``_violation_blocks`` as rows (theta1, theta2,
+    theta3, kind, value, lo, hi), the band's before the diagonal's at a
+    node, whose diagonal rows give the forced value as lo and hi.  Each
+    angle is looked up in ``axis``, any r-entry table of ``grid_axis``."""
+    shape = (len(axis),) * 3
+    for nodes, *fields in _violation_blocks(candidate, resolution):
+        theta = (map(axis.__getitem__, i.tolist()) for i in np.unravel_index(nodes, shape))
+        # Python floats below
+        for t1, t2, t3, value, lo, hi, forced, is_band, is_diagonal in zip(
+                *theta, *(a.tolist() for a in fields)):
             if is_band:
-                violations.append(Violation(tuple(t), "band", value, lo_k, hi_k))
+                yield t1, t2, t3, "band", value, lo, hi
             if is_diagonal:
-                violations.append(Violation(tuple(t), "diagonal", value, forced_k, forced_k))
-    return violations
+                yield t1, t2, t3, "diagonal", value, forced, forced
+
+
+def inequality_scan(candidate, resolution: int) -> list[Violation]:
+    """Scan the uniform resolution^3 grid over the positive cube for band
+    violations, and the diagonal nodes for departures from -cos(theta): the
+    rows of ``_violation_rows`` as Violations."""
+    axis = grid_axis(resolution).tolist()
+    return [Violation(row[:3], *row[3:]) for row in _violation_rows(candidate, resolution, axis)]

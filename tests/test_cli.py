@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bellband
-from bellband import __version__, band_map, cli, sampling
+from bellband import __version__, band_map, cli, f4, sampling
 from bellband.band import band_limits
 from bellband.chsh import octet_correlations
 from bellband.cli import _read_sequence_csv, _write_sequence_csv, _write_table_csv, main
@@ -820,6 +820,20 @@ def run_exit(capsys, argv):
     except SystemExit as exc:
         code = exc.code
     return (code, *capsys.readouterr())
+
+
+def test_scan_builds_no_violation(capsys, monkeypatch):
+    argv = ["scan", "--candidate", "locality", "--resolution", "12"]
+    want = run_exit(capsys, argv)
+    assert want[0] == 0 and want[2] == ""
+
+    def no_violation(*args, **kwargs):
+        raise AssertionError("scan built a Violation")
+
+    monkeypatch.setattr(f4, "Violation", no_violation)
+    with pytest.raises(AssertionError, match="built a Violation"):
+        inequality_scan(F4Candidate.builtin("locality"), 12)
+    assert run_exit(capsys, argv) == want
 
 
 class TestUsageErrors:

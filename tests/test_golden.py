@@ -54,6 +54,8 @@ NUMERIC = [
     "band-map --resolution 50 --out {tmp}/out.csv",
     "scan --candidate product --resolution 50",
     "scan --candidate locality --resolution 10",
+    # 30^3 nodes are two blocks of the scan, with thousands of band violations
+    "scan --candidate locality --resolution 30",
     "scan --candidate product-diagonal --resolution 5",
     # 26^3 nodes are more than one block of the scan
     f"scan {_GRID} --resolution 26",

@@ -52,6 +52,27 @@ def where_collapsed(points):
     return np.count_nonzero(collapsed), np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
 
 
+def corner_interpolation(candidate, points):
+    """A grid candidate's values by the formula the flat gathers replaced:
+    each of the eight corners indexed from the (r, r, r) nodes, and its
+    weight built whole from the three axis weights, summed from zero in d1,
+    d2, d3 order."""
+    r = candidate.grid_resolution
+    x = points / math.pi * (r - 1)
+    i0 = np.clip(np.floor(x).astype(int), 0, r - 2)
+    w = x - i0
+    v = np.zeros(points.shape[:-1])
+    for d in np.ndindex(2, 2, 2):
+        node = candidate.grid_values[tuple(i0[..., k] + d[k] for k in range(3))]
+        weight = (
+            (w[..., 0] if d[0] else 1.0 - w[..., 0])
+            * (w[..., 1] if d[1] else 1.0 - w[..., 1])
+            * (w[..., 2] if d[2] else 1.0 - w[..., 2])
+        )
+        v += weight * node
+    return v
+
+
 def ref_axis(resolution):
     return np.linspace(0.0, math.pi, resolution).tolist()
 
@@ -282,6 +303,20 @@ class TestCandidateKernel:
         points = sample_points()
         ref = [ref_value(candidate, *p) for p in points.tolist()]
         assert bits(candidate.values(points)) == bits(ref)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 10])
+    def test_interpolation_matches_the_corner_formula(self, resolution):
+        rng = np.random.default_rng(resolution)
+        # nodes of +-0.0 too, whose signs the sum from zero settles
+        values = rng.uniform(-1.0, 1.0, resolution ** 3)
+        zero = rng.random(values.size) < 0.25
+        values[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+        candidate = F4Candidate.from_grid(resolution, values)
+        points = rng.uniform(0.0, math.pi, (3000, 3))
+        # the first 1000 on the faces of the cube: one component 0 or pi
+        points[np.arange(1000), rng.integers(0, 3, 1000)] = rng.choice([0.0, math.pi], 1000)
+        points = np.vstack([points, sample_points(), grid_points(resolution)])
+        assert bits(candidate.values(points)) == bits(corner_interpolation(candidate, points))
 
     @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
     def test_scan_matches_reference(self, candidate):
