@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -28,13 +29,12 @@ from .chsh import (
     boole_check, chsh_value, correlations_from_angles, octet_correlations, polytope_member,
 )
 from .core import (
-    TWO_PI, AngleTriple, empirical_correlation, grid_axis, singlet_correlation, twisted_malus,
+    TWO_PI, AngleTriple, empirical_correlation, singlet_correlation, twisted_malus,
 )
 from .errors import BellbandError, DomainError
 # inequality_scan's one reader here is bench/layers.py, which wraps cli.inequality_scan
 from .f4 import (  # noqa: F401
-    BUILTIN_KINDS, F4Candidate, Violation, _violation_rows, contradiction_report,
-    inequality_scan,
+    _KINDS, BUILTIN_KINDS, F4Candidate, _violations, contradiction_report, inequality_scan,
 )
 from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
@@ -195,30 +195,33 @@ def _read_sequence_csv(path: str) -> dict:
     return dict(zip(names, values))
 
 
-# A float table is written as "%.17g" cells joined by "," with "\n" after
-# each row: the bytes of np.savetxt(fmt="%.17g", delimiter=",").  A grid
-# table repeats few distinct floats, so each block of rows takes its
-# distinct bit patterns (they keep -0.0, 0.0 and NaN payloads apart), looks
-# them up in a direct-mapped cache of formatted cells that every block of
-# the table shares, formats only the misses, gathers the cells from a
-# NUL-padded table of their bytes and drops the NULs.  A block takes about
-# 100 bytes a cell while it is written, so 2^11 rows of 6 cells take about
-# 1 MB, and the cache 4.5 MB, whatever the size of the table.
+# A float row is written as its cells, each the format(v, ".17g") text of
+# its float and then the piece of bytes that the row's kind and the cell's
+# column select; with "," and a last "\n" these are np.savetxt(fmt="%.17g",
+# delimiter=",")'s bytes.  Each block of rows looks its distinct bit patterns
+# (they keep -0.0, 0.0 and NaN payloads apart) up in a direct-mapped cache
+# of NUL-padded cells, with room for the widest piece, that every block
+# shares, formats only the misses, writes the pieces into its gathered
+# cells' padding and drops the NULs.  As CSV, 2^11 rows of 6 cells take
+# about 1 MB, and the cache at most 4.3 MB, whatever the output's size.
 _TABLE_BLOCK = 1 << 11
-#: slots of the cell cache, a power of two
+#: slots of the cell cache at most, a power of two
 _CELL_CACHE = 1 << 17
-# a slot: bit pattern, cell length (0 while empty) and NUL-padded cell; the
-# longest "%.17g," cell is 25 bytes, such as "-1.2345678901234567e-308,"
-_CELL = np.dtype([("bits", np.uint64), ("width", np.uint8), ("text", np.uint8, 25)])
+_DIGITS = 24  # the longest ".17g" cell, such as "-1.2345678901234567e-308"
 _HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
-def _write_table_csv(fh, rows) -> None:
-    """Write the rows of a 2-D float array to a binary file as CSV."""
+def _write_rows(fh, rows, pieces, kinds=None) -> None:
+    """Write the rows of a 2-D float array to a binary file, each cell
+    followed by ``pieces[kind][column]``, the ASCII text for the row's entry
+    in ``kinds`` (0 for every row if None) and the cell's column."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
-    cache = np.zeros(_CELL_CACHE, dtype=_CELL)
+    pieces = np.array(pieces, dtype=bytes)[..., None].view(np.uint8)
+    width = _DIGITS + pieces.shape[-1]
+    cell = np.dtype([("bits", np.uint64), ("text", np.uint8, width)])
+    cache = np.zeros(min(_CELL_CACHE, 1 << rows.size.bit_length()), dtype=cell)
     # multiplicative hashing: the top log2(slots) bits of bits * _HASH
-    shift = np.uint64(65 - _CELL_CACHE.bit_length())
+    shift = np.uint64(65 - len(cache).bit_length())
     for start in range(0, len(rows), _TABLE_BLOCK):
         block = rows[start:start + _TABLE_BLOCK]
         bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
@@ -226,20 +229,17 @@ def _write_table_csv(fh, rows) -> None:
         # read every slot before storing a miss: two of this block's
         # distinct floats may share a slot
         local = cache.take(slots)
-        miss = np.flatnonzero((local["bits"] != bits) | (local["width"] == 0))
-        texts = [format(v, ".17g") + "," for v in bits[miss].view(np.float64).tolist()]
-        cells = np.empty(len(texts), dtype=_CELL)
+        # an empty slot's cell starts with NUL
+        miss = np.flatnonzero((local["bits"] != bits) | (local["text"][:, 0] == 0))
+        texts = [format(v, ".17g") for v in bits[miss].view(np.float64).tolist()]
+        cells = np.empty(len(texts), dtype=cell)
         cells["bits"] = bits[miss]
-        cells["width"] = np.fromiter(map(len, texts), dtype=np.uint8, count=len(texts))
-        cells["text"] = np.array(texts, dtype="S25").view(np.uint8).reshape(-1, 25)
+        cells["text"] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
         local.put(miss, cells)
         # whole slots, so a slot two misses share holds one of them intact
         cache.put(slots[miss], cells)
-        index = inverse.reshape(block.shape)
-        out = local["text"][index]
-        # the "," of each row's last cell becomes "\n"
-        commas = local["width"][index[:, -1]].astype(np.intp) - 1
-        out[np.arange(len(block)), -1, commas] = ord("\n")
+        out = local["text"][inverse.reshape(block.shape)]
+        out[..., _DIGITS:] = pieces[0] if kinds is None else pieces[kinds[start:start + len(block)]]
         fh.write(out[out != 0])
 
 
@@ -319,7 +319,7 @@ def _cmd_band_map(args) -> dict:
     rows = band_map(args.resolution)
     with _output(args.out) as fh:
         fh.write(b"theta1,theta2,theta3,lo,hi,width\n")
-        _write_table_csv(fh, rows)
+        _write_rows(fh, rows, [[","] * 5 + ["\n"]])
     return {"out": args.out, "rows": int(rows.shape[0])}
 
 
@@ -337,21 +337,26 @@ def _cmd_analyze(args):
     return contradiction_report(_candidate(args), seed=args.seed)
 
 
-# one Violation of scan's report: its theta cells are text, dumps writes a float as "%.17g"
-# does, and a kind needs no escapes
-_VIOLATION = dumps(Violation((_Text("%s"),) * 3, _Text('"%s"'), *[_Text("%.17g")] * 3), 2)
+_SLOT = _Text("\0")
+# a violation of scan's report as dumps writes it in the list, split at its
+# six cells, for each kind; each row's last piece closes it and opens the next
+_VIOLATION = [dumps({"theta": [_SLOT] * 3, "kind": kind, "value": _SLOT, "lo": _SLOT, "hi": _SLOT},
+                    2).split(_SLOT) for kind in _KINDS]
+_SCAN_PIECES = [[*middle, tail + ", " + head] for head, *middle, tail in _VIOLATION]
 
 
 def _cmd_scan(args) -> dict:
-    candidate = _candidate(args)
-    # an angle takes r values, so each is formatted once, as dumps writes it
-    cells = [format(t, ".17g") for t in grid_axis(args.resolution).tolist()]
-    rows = [_VIOLATION % row for row in _violation_rows(candidate, args.resolution, cells)]
-    return {
-        "resolution": args.resolution,
-        "violation_count": len(rows),
-        "violations": _Text("[" + ", ".join(rows) + "]"),
-    }
+    rows, kinds = _violations(_candidate(args), args.resolution)
+    head = _VIOLATION[0][0].encode()
+    out = io.BytesIO()
+    out.write(b"[" + head)
+    _write_rows(out, rows, _SCAN_PIECES, kinds)
+    # cut the row that the last one opens back to its ", ", or with no rows to the "["
+    out.seek(out.tell() - len(b", " + head) if len(rows) else 1)
+    out.truncate()
+    out.write(b"]")
+    return {"resolution": args.resolution, "violation_count": len(rows),
+            "violations": _Text(out.getvalue(), "ascii")}
 
 
 _REAL = {"type": float, "required": True}

@@ -21,7 +21,7 @@ import numpy as np
 # feasible_band's one reader here is bench/layers.py, which wraps f4.feasible_band
 from .band import _band, feasible_band  # noqa: F401
 from .core import (
-    BAND_TOL, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_axis, grid_blocks,
+    BAND_TOL, AngleTriple, _ArrayFields, _check_seed, _integer, _real, grid_blocks,
     q_plus_points, singlet_correlation,
 )
 from .errors import DomainError, GridFormatError
@@ -440,13 +440,17 @@ class Violation:
     hi: float
 
 
-def _violation_blocks(candidate, resolution: int):
-    """The violations of ``inequality_scan``, one ``grid_blocks`` block at a
-    time, so that a walk holds one block's points and temporaries.  Each
-    block yields arrays over its violating nodes in lattice order: the node
-    index, the value, the band's lo and hi, the forced value -cos(theta1),
-    and the band and diagonal flags; a node may raise both."""
-    for nodes, points, (c1, c2, c3) in grid_blocks(resolution):
+_KINDS = ("band", "diagonal")  # a Violation's kind, by its code in ``_violations``
+
+
+def _violations(candidate, resolution: int):
+    """The violations of ``inequality_scan`` in report order, as rows
+    (theta1, theta2, theta3, value, lo, hi) and their codes in ``_KINDS``:
+    nodes in lattice order, a node's band row before its diagonal row, whose
+    lo and hi are the forced value -cos(theta1).  The walk holds one
+    ``grid_blocks`` block's points and temporaries at a time."""
+    rows, kinds = [], []
+    for _, points, (c1, c2, c3) in grid_blocks(resolution):
         values = np.asarray(candidate.values(points), dtype=float).reshape(len(c1), -1)
         lo, hi = _band(c1, c2, c3)
         band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
@@ -454,30 +458,20 @@ def _violation_blocks(candidate, resolution: int):
         # the forced value -cos(theta1) is the row's c1
         diagonal_bad = on_diagonal.reshape(values.shape) & (np.abs(values - c1) > BAND_TOL)
         k = np.flatnonzero(band_bad | diagonal_bad)
-        yield (nodes.start + k, values.flat[k], lo.flat[k], hi.flat[k], c1[k // len(c3), 0],
-               band_bad.flat[k], diagonal_bad.flat[k])
-
-
-def _violation_rows(candidate, resolution: int, axis: list):
-    """The violations of ``_violation_blocks`` as rows (theta1, theta2,
-    theta3, kind, value, lo, hi), the band's before the diagonal's at a
-    node, whose diagonal rows give the forced value as lo and hi.  Each
-    angle is looked up in ``axis``, any r-entry table of ``grid_axis``."""
-    shape = (len(axis),) * 3
-    for nodes, *fields in _violation_blocks(candidate, resolution):
-        theta = (map(axis.__getitem__, i.tolist()) for i in np.unravel_index(nodes, shape))
-        # Python floats below
-        for t1, t2, t3, value, lo, hi, forced, is_band, is_diagonal in zip(
-                *theta, *(a.tolist() for a in fields)):
-            if is_band:
-                yield t1, t2, t3, "band", value, lo, hi
-            if is_diagonal:
-                yield t1, t2, t3, "diagonal", value, forced, forced
+        # a (node, kind) pair for each violation, in node order and then kind order
+        i, kind = np.nonzero(np.column_stack([band_bad.flat[k], diagonal_bad.flat[k]]))
+        node = k[i]
+        forced = c1[node // len(c3), 0]
+        limits = [np.where(kind, forced, bound.flat[node]) for bound in (lo, hi)]
+        rows.append(np.column_stack([points[node], values.flat[node], *limits]))
+        kinds.append(kind)
+    return np.concatenate(rows), np.concatenate(kinds)
 
 
 def inequality_scan(candidate, resolution: int) -> list[Violation]:
     """Scan the uniform resolution^3 grid over the positive cube for band
     violations, and the diagonal nodes for departures from -cos(theta): the
-    rows of ``_violation_rows`` as Violations."""
-    axis = grid_axis(resolution).tolist()
-    return [Violation(row[:3], *row[3:]) for row in _violation_rows(candidate, resolution, axis)]
+    rows of ``_violations`` as Violations."""
+    rows, kinds = _violations(candidate, resolution)
+    return [Violation((t1, t2, t3), _KINDS[kind], value, lo, hi)
+            for (t1, t2, t3, value, lo, hi), kind in zip(rows.tolist(), kinds.tolist())]
