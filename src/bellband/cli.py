@@ -13,13 +13,14 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import io
+import itertools
 import json
 import math
 import os
 import re
 import stat
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -39,33 +40,43 @@ from .f4 import (  # noqa: F401
 from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sample_singlet_pairs
 
 
-class _Text(str):
-    """JSON text that ``dumps`` writes as it is."""
+def _pieces(obj, indent: int = 0):
+    """The JSON text of ``obj`` in pieces, with floats at 17 significant
+    digits.  An iterator is JSON text already, and is written as it is."""
+    # an empty dict or list writes its opener and closer as one piece
+    if isinstance(obj, float):
+        yield format(obj, ".17g")
+    elif isinstance(obj, dict):
+        pad, opener = "  " * indent, "{\n"
+        for k, v in obj.items():
+            yield f'{opener}{pad}  "{k}": '
+            yield from _pieces(v, indent + 1)
+            opener = ",\n"
+        yield f"\n{pad}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        opener = "["
+        for v in obj:
+            yield opener
+            yield from _pieces(v, indent)
+            opener = ", "
+        yield "]" if obj else "[]"
+    elif isinstance(obj, bool) or obj is None:
+        yield {True: "true", False: "false", None: "null"}[obj]
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif isinstance(obj, Iterator):
+        yield from obj
+    elif dataclasses.is_dataclass(type(obj)):  # an instance, as the dict of its fields in order
+        yield from _pieces({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits."""
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {dumps(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return obj if isinstance(obj, _Text) else json.dumps(obj)
-    if dataclasses.is_dataclass(type(obj)):  # an instance, as the dict of its fields in order
-        return dumps({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
-    raise TypeError(f"cannot serialize {type(obj)}")
+    return "".join(_pieces(obj, indent))
 
 
 def _angle(args, value: float) -> float:
@@ -211,10 +222,10 @@ _DIGITS = 24  # the longest ".17g" cell, such as "-1.2345678901234567e-308"
 _HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
-def _write_rows(fh, rows, pieces, kinds=None) -> None:
-    """Write the rows of a 2-D float array to a binary file, each cell
-    followed by ``pieces[kind][column]``, the ASCII text for the row's entry
-    in ``kinds`` (0 for every row if None) and the cell's column."""
+def _row_blocks(rows, pieces, kinds=None):
+    """Each block of rows of a 2-D float array as ASCII bytes in a uint8
+    array, each cell followed by ``pieces[kind][column]``: the text for the
+    row's entry in ``kinds`` (0 for every row if None) and the cell's column."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     pieces = np.array(pieces, dtype=bytes)[..., None].view(np.uint8)
     width = _DIGITS + pieces.shape[-1]
@@ -240,7 +251,7 @@ def _write_rows(fh, rows, pieces, kinds=None) -> None:
         cache.put(slots[miss], cells)
         out = local["text"][inverse.reshape(block.shape)]
         out[..., _DIGITS:] = pieces[0] if kinds is None else pieces[kinds[start:start + len(block)]]
-        fh.write(out[out != 0])
+        yield out[out != 0]
 
 
 def _pair_report(args, pairs: tuple, expected: float) -> dict:
@@ -319,7 +330,8 @@ def _cmd_band_map(args) -> dict:
     rows = band_map(args.resolution)
     with _output(args.out) as fh:
         fh.write(b"theta1,theta2,theta3,lo,hi,width\n")
-        _write_rows(fh, rows, [[","] * 5 + ["\n"]])
+        for block in _row_blocks(rows, [[","] * 5 + ["\n"]]):
+            fh.write(block)
     return {"out": args.out, "rows": int(rows.shape[0])}
 
 
@@ -337,26 +349,21 @@ def _cmd_analyze(args):
     return contradiction_report(_candidate(args), seed=args.seed)
 
 
-_SLOT = _Text("\0")
 # a violation of scan's report as dumps writes it in the list, split at its
-# six cells, for each kind; each row's last piece closes it and opens the next
-_VIOLATION = [dumps({"theta": [_SLOT] * 3, "kind": kind, "value": _SLOT, "lo": _SLOT, "hi": _SLOT},
-                    2).split(_SLOT) for kind in _KINDS]
-_SCAN_PIECES = [[*middle, tail + ", " + head] for head, *middle, tail in _VIOLATION]
+# six cells, for each kind; a row's last piece closes it and opens the next
+# row, or for a kind code raised by len(_KINDS) closes the list
+_VIOLATION = [dumps({"theta": ["\0"] * 3, "kind": kind, "value": "\0", "lo": "\0", "hi": "\0"},
+                    2).split(dumps("\0")) for kind in _KINDS]
+_SCAN_PIECES = [[*middle, tail + end] for end in (", " + _VIOLATION[0][0], "]")
+                for _, *middle, tail in _VIOLATION]
 
 
 def _cmd_scan(args) -> dict:
     rows, kinds = _violations(_candidate(args), args.resolution)
-    head = _VIOLATION[0][0].encode()
-    out = io.BytesIO()
-    out.write(b"[" + head)
-    _write_rows(out, rows, _SCAN_PIECES, kinds)
-    # cut the row that the last one opens back to its ", ", or with no rows to the "["
-    out.seek(out.tell() - len(b", " + head) if len(rows) else 1)
-    out.truncate()
-    out.write(b"]")
+    kinds[-1:] += len(_KINDS)
+    blocks = (str(block, "ascii") for block in _row_blocks(rows, _SCAN_PIECES, kinds))
     return {"resolution": args.resolution, "violation_count": len(rows),
-            "violations": _Text(out.getvalue(), "ascii")}
+            "violations": itertools.chain(["[" + _VIOLATION[0][0] if len(rows) else "[]"], blocks)}
 
 
 _REAL = {"type": float, "required": True}
@@ -456,10 +463,11 @@ def main(argv=None) -> int:
     }
     try:
         result = _COMMANDS[args.command][0](args)
-        report = dumps({"tool": "bellband", "version": __version__, "command": args.command,
-                        "config": config, "result": result})
+        report = {"tool": "bellband", "version": __version__, "command": args.command,
+                  "config": config, "result": result}
         try:  # flushed here, so that a closed pipe or a full disk is an error of the command
-            print(report, flush=True)
+            sys.stdout.writelines(_pieces(report))
+            print(flush=True)
         except OSError:  # drop the unwritten bytes, or stdout's flush at exit fails (exit 120)
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())  # no descriptor: a capture, kept

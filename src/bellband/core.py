@@ -132,17 +132,6 @@ def grid_axis(resolution) -> np.ndarray:
     return np.linspace(0.0, math.pi, _grid_resolution(resolution))
 
 
-def grid_points(resolution: int) -> np.ndarray:
-    """The uniform resolution^3 node lattice on the positive cube as rows
-    (theta1, theta2, theta3) in theta1-major order: the points of
-    ``grid_blocks`` put together."""
-    r = _grid_resolution(resolution)
-    points = np.empty((r ** 3, 3))
-    for nodes, block, _ in grid_blocks(r):
-        points[nodes] = block
-    return points
-
-
 #: most lattice nodes that a walk over a grid holds at a time; a block is
 #: GRID_BLOCK // r whole theta3-rows, so the 25^3 = 15,625 nodes of a
 #: resolution-25 grid are one block

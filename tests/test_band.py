@@ -18,7 +18,8 @@ from bellband import (
     lp_band,
 )
 from bellband.band import band_limits
-from bellband.core import BAND_TOL, ROUND_TOL, grid_points
+from bellband.core import BAND_TOL, ROUND_TOL
+from lattice import grid_points
 
 correlations = st.floats(-1, 1, allow_nan=False)
 CORRELATIONS = JointDistribution4.CORRELATIONS

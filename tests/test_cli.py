@@ -20,11 +20,12 @@ import bellband
 from bellband import __version__, band_map, cli, f4, sampling
 from bellband.band import band_limits
 from bellband.chsh import octet_correlations
-from bellband.cli import _read_sequence_csv, _write_rows, _write_sequence_csv, main
-from bellband.core import MAX_GRID_RESOLUTION, grid_points
+from bellband.cli import _read_sequence_csv, _row_blocks, _write_sequence_csv, main
+from bellband.core import MAX_GRID_RESOLUTION
 from bellband.errors import BellbandError
 from bellband.f4 import BUILTIN_KINDS, F4Candidate, contradiction_report, inequality_scan
 from bellband.sampling import CHUNK
+from lattice import grid_points
 
 
 def run(capsys, *args):
@@ -381,7 +382,8 @@ def _float_tables(draw):
 
 def _write_table_csv(fh, rows) -> None:
     """The rows written by the row renderer as CSV: "," after each cell but the last, "\n" after it."""
-    _write_rows(fh, rows, [[","] * (np.shape(rows)[1] - 1) + ["\n"]])
+    for block in _row_blocks(rows, [[","] * (np.shape(rows)[1] - 1) + ["\n"]]):
+        fh.write(block)
 
 
 def _write_table_bytes(rows, block=cli._TABLE_BLOCK, slots=cli._CELL_CACHE) -> bytes:
@@ -523,15 +525,26 @@ def test_full_stdout_fails_cleanly(args, unbuffered):
     assert err.startswith("bellband: error: ") and err.count("\n") == 1, err
 
 
-def test_failed_write_to_a_stdout_without_descriptor(capsys):
+@pytest.mark.parametrize("argv, writes", [
+    (["band", "--theta1", "0", "--theta2", "0", "--theta3", "0"], 0),
+    # a report written in pieces fails after its first
+    (["scan", "--candidate", "locality", "--resolution", "12"], 1),
+], ids=["band", "scan"])
+def test_failed_write_to_a_stdout_without_descriptor(capsys, argv, writes):
     # in process, sys.stdout may be a capture with no descriptor to redirect
     class Full(io.StringIO):
-        def write(self, text):
-            raise OSError(28, "No space left on device")
+        left = writes
 
-    with mock.patch("sys.stdout", Full()):
-        assert main(["band", "--theta1", "0", "--theta2", "0", "--theta3", "0"]) == 1
+        def write(self, text):
+            if not self.left:
+                raise OSError(28, "No space left on device")
+            self.left -= 1
+            return super().write(text)
+
+    with mock.patch("sys.stdout", Full()) as full:
+        assert main(argv) == 1
     assert capsys.readouterr() == ("", "bellband: error: [Errno 28] No space left on device\n")
+    assert bool(full.getvalue()) == bool(writes)
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -853,12 +866,28 @@ def test_scan_builds_no_violation(capsys, monkeypatch):
     assert run_exit(capsys, argv) == want
 
 
+def test_scan_report_reaches_stdout_in_pieces():
+    # locality at r = 50 reports 81,912 violations in 17.0 MB of stdout; no
+    # write holds more than one block of the renderer's rows
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    writes = []
+    with contextlib.redirect_stdout(Recorder()):
+        assert main(["scan", "--candidate", "locality", "--resolution", "50"]) == 0
+    rows = "".join(writes).split("}, {")
+    assert len(rows) == 81_912
+    assert max(map(len, writes)) <= cli._TABLE_BLOCK * (max(map(len, rows)) + len("}, {"))
+
+
 def test_scan_memory(capsys):
-    # locality at r = 50 reports 81,912 violations in 17.0 MB of stdout, whose
-    # text dumps copies while it builds the report: 65.0-65.2 MiB traced, so
-    # the bound leaves at least 6.8 MiB (10 %) of headroom.  Unlike CI's max-RSS
-    # step on the same command, which reads 102 or 134 MB by how the process
-    # starts, this measures the program and not glibc's allocator
+    # locality at r = 50 reports 81,912 violations in 17.0 MB of stdout, which
+    # main writes block by block as the renderer makes them: 17.2 MiB traced,
+    # the violations' 3.9 MB of rows, one block of text and the cell cache, so
+    # the bound leaves 2.8 MiB (16 %) of headroom.  Unlike CI's max-RSS step
+    # on the same command, this measures the program and not glibc's allocator
     argv = ["scan", "--candidate", "locality", "--resolution", "50"]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
@@ -868,7 +897,7 @@ def test_scan_memory(capsys):
         finally:
             tracemalloc.stop()
     assert code == 0 and capsys.readouterr().err == ""
-    assert peak < 72 * 2**20
+    assert peak < 20 * 2**20
 
 
 class TestUsageErrors:

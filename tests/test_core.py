@@ -37,7 +37,7 @@ from bellband import (
     twisted_malus,
 )
 from bellband.band import band_limits
-from bellband.core import _check_seed, grid_points, q_plus_points
+from bellband.core import _check_seed, grid_axis, q_plus_points
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -231,7 +231,9 @@ PRODUCT = F4Candidate.builtin("product")
 #: every entry point whose argument must be an integer: a call of it on that
 #: argument, the argument's name in the message, and a valid integer value
 INTEGER_ARGUMENTS = {
-    "grid_points": (lambda v: grid_points(v), "resolution", 3),
+    # the lattice's rule, applied by grid_axis; the entry keeps the name of
+    # the lattice function that core had, and with it its test ids
+    "grid_points": (lambda v: grid_axis(v), "resolution", 3),
     "band_map": (lambda v: band_map(v), "resolution", 3),
     "inequality_scan": (lambda v: inequality_scan(PRODUCT, v), "resolution", 3),
     "sample_count": (lambda v: sample_singlet_pairs(0.3, v, 1), "sample count", 3),
@@ -244,7 +246,7 @@ INTEGER_ARGUMENTS = {
 
 @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
 class TestIntegerArguments:
-    # int() once truncated these: grid_points(2.9) gave the r = 2 lattice
+    # int() once truncated these: a resolution of 2.9 gave the r = 2 lattice
     @pytest.mark.parametrize("offset", [0.9, -0.1, 0.5])
     def test_fractions_rejected(self, entry, offset):
         call, name, good = INTEGER_ARGUMENTS[entry]

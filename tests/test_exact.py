@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellband import band, lp_band
-from bellband.core import BAND_TOL, ROUND_TOL, grid_points, singlet_correlation
+from bellband.core import BAND_TOL, ROUND_TOL, singlet_correlation
+from lattice import grid_points
 
 # sign patterns (a_oo, b_oo, a_bo, b_ob), in the order of JointDistribution4
 _PATTERNS = list(itertools.product((1, -1), repeat=4))

@@ -21,9 +21,10 @@ from bellband import DomainError, F4Candidate, ShapeError, band_map, inequality_
 from bellband import f4
 from bellband.band import band_limits
 from bellband.core import (
-    GRID_BLOCK, MAX_GRID_RESOLUTION, AngleTriple, grid_points, q_plus_points, singlet_correlation,
+    GRID_BLOCK, MAX_GRID_RESOLUTION, AngleTriple, q_plus_points, singlet_correlation,
 )
 from bellband.f4 import Violation
+from lattice import grid_points
 
 
 def ref_band(t1, t2, t3):
