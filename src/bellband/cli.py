@@ -43,9 +43,9 @@ from .sampling import CHUNK, OctetSequences, sample_lhv_pairs, sample_octet, sam
 def _pieces(obj, indent: int = 0):
     """The JSON text of ``obj`` in pieces, with floats at 17 significant
     digits.  An iterator is JSON text already, and is written as it is."""
-    # an empty dict or list writes its opener and closer as one piece
     if isinstance(obj, float):
         yield format(obj, ".17g")
+    # an empty dict or list writes its opener and closer as one piece
     elif isinstance(obj, dict):
         pad, opener = "  " * indent, "{\n"
         for k, v in obj.items():
