@@ -222,36 +222,39 @@ _DIGITS = 24  # the longest ".17g" cell, such as "-1.2345678901234567e-308"
 _HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
-def _row_blocks(rows, pieces, kinds=None):
-    """Each block of rows of a 2-D float array as ASCII bytes in a uint8
-    array, each cell followed by ``pieces[kind][column]``: the text for the
-    row's entry in ``kinds`` (0 for every row if None) and the cell's column."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
+def _row_blocks(parts, pieces, kinds=None):
+    """Each block of rows of a list of 2-D float arrays, part after part, as
+    ASCII bytes in a uint8 array, each cell followed by
+    ``pieces[kind][column]``: the text for the row's entry in its part of
+    ``kinds`` (0 for every row if None) and the cell's column."""
     pieces = np.array(pieces, dtype=bytes)[..., None].view(np.uint8)
     width = _DIGITS + pieces.shape[-1]
     cell = np.dtype([("bits", np.uint64), ("text", np.uint8, width)])
-    cache = np.zeros(min(_CELL_CACHE, 1 << rows.size.bit_length()), dtype=cell)
+    size = sum(np.size(rows) for rows in parts)
+    cache = np.zeros(min(_CELL_CACHE, 1 << size.bit_length()), dtype=cell)
     # multiplicative hashing: the top log2(slots) bits of bits * _HASH
     shift = np.uint64(65 - len(cache).bit_length())
-    for start in range(0, len(rows), _TABLE_BLOCK):
-        block = rows[start:start + _TABLE_BLOCK]
-        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        slots = (bits * _HASH >> shift).astype(np.intp)
-        # read every slot before storing a miss: two of this block's
-        # distinct floats may share a slot
-        local = cache.take(slots)
-        # an empty slot's cell starts with NUL
-        miss = np.flatnonzero((local["bits"] != bits) | (local["text"][:, 0] == 0))
-        texts = [format(v, ".17g") for v in bits[miss].view(np.float64).tolist()]
-        cells = np.empty(len(texts), dtype=cell)
-        cells["bits"] = bits[miss]
-        cells["text"] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-        local.put(miss, cells)
-        # whole slots, so a slot two misses share holds one of them intact
-        cache.put(slots[miss], cells)
-        out = local["text"][inverse.reshape(block.shape)]
-        out[..., _DIGITS:] = pieces[0] if kinds is None else pieces[kinds[start:start + len(block)]]
-        yield out[out != 0]
+    for rows, codes in zip(parts, kinds or [None] * len(parts)):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        for start in range(0, len(rows), _TABLE_BLOCK):
+            block = rows[start:start + _TABLE_BLOCK]
+            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            slots = (bits * _HASH >> shift).astype(np.intp)
+            # read every slot before storing a miss: two of this block's
+            # distinct floats may share a slot
+            local = cache.take(slots)
+            # an empty slot's cell starts with NUL
+            miss = np.flatnonzero((local["bits"] != bits) | (local["text"][:, 0] == 0))
+            texts = [format(v, ".17g") for v in bits[miss].view(np.float64).tolist()]
+            cells = np.empty(len(texts), dtype=cell)
+            cells["bits"] = bits[miss]
+            cells["text"] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+            local.put(miss, cells)
+            # whole slots, so a slot two misses share holds one of them intact
+            cache.put(slots[miss], cells)
+            out = local["text"][inverse.reshape(block.shape)]
+            out[..., _DIGITS:] = pieces[0 if codes is None else codes[start:start + len(block)]]
+            yield out[out != 0]
 
 
 def _pair_report(args, pairs: tuple, expected: float) -> dict:
@@ -330,7 +333,7 @@ def _cmd_band_map(args) -> dict:
     rows = band_map(args.resolution)
     with _output(args.out) as fh:
         fh.write(b"theta1,theta2,theta3,lo,hi,width\n")
-        for block in _row_blocks(rows, [[","] * 5 + ["\n"]]):
+        for block in _row_blocks([rows], [[","] * 5 + ["\n"]]):
             fh.write(block)
     return {"out": args.out, "rows": int(rows.shape[0])}
 
@@ -360,10 +363,12 @@ _SCAN_PIECES = [[*middle, tail + end] for end in (", " + _VIOLATION[0][0], "]")
 
 def _cmd_scan(args) -> dict:
     rows, kinds = _violations(_candidate(args), args.resolution)
-    kinds[-1:] += len(_KINDS)
+    # the last part holds the last row
+    if kinds:
+        kinds[-1][-1] += len(_KINDS)
     blocks = (str(block, "ascii") for block in _row_blocks(rows, _SCAN_PIECES, kinds))
-    return {"resolution": args.resolution, "violation_count": len(rows),
-            "violations": itertools.chain(["[" + _VIOLATION[0][0] if len(rows) else "[]"], blocks)}
+    return {"resolution": args.resolution, "violation_count": sum(map(len, rows)),
+            "violations": itertools.chain(["[" + _VIOLATION[0][0] if rows else "[]"], blocks)}
 
 
 _REAL = {"type": float, "required": True}

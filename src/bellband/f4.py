@@ -7,7 +7,10 @@ and the inequality scan.
 
 A candidate is any object with ``values(points)``, its values over
 triples of shape (..., 3); ``name`` is optional, and a ``kind == "grid"``
-object also needs ``grid_resolution``.
+object also needs ``grid_resolution``.  The scan asks an ``F4Candidate``
+first for its values from the lattice walk's -cos tables through the
+private hook ``_lattice_values``; the product builtins answer with the
+same bits, and every other candidate is read through ``values(points)``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,14 @@ from .errors import DomainError, GridFormatError
 _DIAG_DIR = np.full(3, 1.0 / math.sqrt(3.0))
 
 BUILTIN_KINDS = ("locality", "product", "product-diagonal")
+
+
+def _product(c1, c2, c3):
+    """The product kernel -cos(theta1) cos(theta2) cos(theta3) from the three
+    correlations c_k = -cos(theta_k), elementwise over arrays that broadcast
+    together.  Rounding does not depend on signs, so (c1 * c2) * c3 has the
+    bits of (c1 * -c2) * -c3, the product of c1 and the two cosines."""
+    return c1 * c2 * c3
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +146,20 @@ class F4Candidate(_ArrayFields):
         if self.kind == "grid":
             return self._interpolate(pts)
         c1 = singlet_correlation(t1)
-        product = c1 * np.cos(t2) * np.cos(t3)
+        product = _product(c1, singlet_correlation(t2), singlet_correlation(t3))
         if self.kind == "product-diagonal":
             return np.where((t1 == t2) & (t2 == t3), c1, product)
+        return product
+
+    def _lattice_values(self, c1, c2, c3, on_diagonal):
+        """The values at a ``grid_blocks`` block's nodes, the bits of
+        ``values`` there, from its correlation tables (c1, c2, c3) and its
+        diagonal mask; None for a candidate the tables do not give."""
+        if self.kind not in ("product", "product-diagonal"):
+            return None
+        product = _product(c1, c2, c3)
+        if self.kind == "product-diagonal":
+            return np.where(on_diagonal, c1, product)
         return product
 
     def evaluate(self, theta: AngleTriple) -> float:
@@ -444,28 +466,37 @@ _KINDS = ("band", "diagonal")  # a Violation's kind, by its code in ``_violation
 
 
 def _violations(candidate, resolution: int):
-    """The violations of ``inequality_scan`` in report order, as rows
-    (theta1, theta2, theta3, value, lo, hi) and their codes in ``_KINDS``:
+    """The violations of ``inequality_scan`` in report order, as a list of
+    rows (theta1, theta2, theta3, value, lo, hi) and a list of their int8
+    codes in ``_KINDS``, one array in each for every block with a violation:
     nodes in lattice order, a node's band row before its diagonal row, whose
-    lo and hi are the forced value -cos(theta1).  The walk holds one
-    ``grid_blocks`` block's points and temporaries at a time."""
+    lo and hi are the forced value -cos(theta1).  Beside the violations, the
+    walk holds one ``grid_blocks`` block's points and temporaries at a time."""
+    lattice_values = getattr(candidate, "_lattice_values", None)
     rows, kinds = [], []
     for _, points, (c1, c2, c3) in grid_blocks(resolution):
-        values = np.asarray(candidate.values(points), dtype=float).reshape(len(c1), -1)
+        shape = (len(c1), len(c3))
+        on_diagonal = ((points[:, 0] == points[:, 1])
+                       & (points[:, 1] == points[:, 2])).reshape(shape)
+        values = None if lattice_values is None else lattice_values(c1, c2, c3, on_diagonal)
+        if values is None:
+            values = np.asarray(candidate.values(points), dtype=float).reshape(shape)
         lo, hi = _band(c1, c2, c3)
         band_bad = ~((lo - BAND_TOL <= values) & (values <= hi + BAND_TOL))
-        on_diagonal = (points[:, 0] == points[:, 1]) & (points[:, 1] == points[:, 2])
         # the forced value -cos(theta1) is the row's c1
-        diagonal_bad = on_diagonal.reshape(values.shape) & (np.abs(values - c1) > BAND_TOL)
+        diagonal_bad = on_diagonal & (np.abs(values - c1) > BAND_TOL)
         k = np.flatnonzero(band_bad | diagonal_bad)
+        if not len(k):
+            continue
         # a (node, kind) pair for each violation, in node order and then kind order
         i, kind = np.nonzero(np.column_stack([band_bad.flat[k], diagonal_bad.flat[k]]))
         node = k[i]
         forced = c1[node // len(c3), 0]
         limits = [np.where(kind, forced, bound.flat[node]) for bound in (lo, hi)]
         rows.append(np.column_stack([points[node], values.flat[node], *limits]))
-        kinds.append(kind)
-    return np.concatenate(rows), np.concatenate(kinds)
+        # a copy: ``kind`` is a view that would keep the node indices too
+        kinds.append(kind.astype(np.int8))
+    return rows, kinds
 
 
 def inequality_scan(candidate, resolution: int) -> list[Violation]:
@@ -474,4 +505,5 @@ def inequality_scan(candidate, resolution: int) -> list[Violation]:
     rows of ``_violations`` as Violations."""
     rows, kinds = _violations(candidate, resolution)
     return [Violation((t1, t2, t3), _KINDS[kind], value, lo, hi)
-            for (t1, t2, t3, value, lo, hi), kind in zip(rows.tolist(), kinds.tolist())]
+            for part, codes in zip(rows, kinds)
+            for (t1, t2, t3, value, lo, hi), kind in zip(part.tolist(), codes.tolist())]

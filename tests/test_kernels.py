@@ -21,7 +21,7 @@ from bellband import DomainError, F4Candidate, ShapeError, band_map, inequality_
 from bellband import f4
 from bellband.band import band_limits
 from bellband.core import (
-    GRID_BLOCK, MAX_GRID_RESOLUTION, AngleTriple, q_plus_points, singlet_correlation,
+    GRID_BLOCK, MAX_GRID_RESOLUTION, AngleTriple, grid_blocks, q_plus_points, singlet_correlation,
 )
 from bellband.f4 import Violation
 from lattice import grid_points
@@ -131,6 +131,26 @@ def ref_scan(candidate, resolution, tol=1e-9):
                     if abs(value - forced) > tol:
                         violations.append(Violation((t1, t2, t3), "diagonal", value, forced, forced))
     return violations
+
+
+def old_product_values(kind, points):
+    """The product builtins as values() computed them before the product
+    kernel: three cosines a point, and the diagonal by np.where."""
+    t1, t2, t3 = points[:, 0], points[:, 1], points[:, 2]
+    c1 = singlet_correlation(t1)
+    product = c1 * np.cos(t2) * np.cos(t3)
+    if kind == "product-diagonal":
+        return np.where((t1 == t2) & (t2 == t3), c1, product)
+    return product
+
+
+class Delegate:
+    """A candidate with only values(), which the builtin answers: the scan
+    reads it through values(points), not through the builtin's tables."""
+
+    def __init__(self, candidate):
+        self.name = candidate.name
+        self.values = candidate.values
 
 
 def whole_grid_scan(candidate, resolution, tol=1e-9):
@@ -354,6 +374,50 @@ class TestCandidateKernel:
         # row by row, so the hex text of at most two violations is held at once
         for got, want in zip(blocks, whole):
             assert hex_rows([got]) == hex_rows([want])
+
+    # up to r = 25 the lattice is one block of the walk; 50 and 129 are several
+    @pytest.mark.parametrize("kind", ["product", "product-diagonal"])
+    @pytest.mark.parametrize("resolution", [*range(2, 31), 50, 129])
+    def test_product_kernel_keeps_the_old_formula(self, kind, resolution):
+        candidate = F4Candidate.builtin(kind)
+        for _, points, (c1, c2, c3) in grid_blocks(resolution):
+            want = bits(old_product_values(kind, points))
+            assert bits(candidate.values(points)) == want
+            shape = (len(c1), len(c3))
+            on_diagonal = ((points[:, 0] == points[:, 1])
+                           & (points[:, 1] == points[:, 2])).reshape(shape)
+            got = candidate._lattice_values(c1, c2, c3, on_diagonal)
+            assert got.shape == shape and bits(got) == want
+
+    @pytest.mark.parametrize("candidate", CANDIDATES, ids=lambda c: c.name)
+    def test_only_the_product_builtins_read_the_tables(self, candidate):
+        _, _, c = next(grid_blocks(5))
+        on_diagonal = np.zeros((len(c[0]), 5), dtype=bool)
+        got = candidate._lattice_values(*c, on_diagonal)
+        assert (got is None) == (candidate.kind in ("locality", "grid"))
+
+    # the hook and the values() fallback give the scan the same arrays
+    @pytest.mark.parametrize("kind", f4.BUILTIN_KINDS)
+    @pytest.mark.parametrize("resolution", [2, 7, 25, 26, 50])
+    def test_scan_of_a_candidate_without_the_hook_has_the_same_bits(self, kind, resolution):
+        builtin = F4Candidate.builtin(kind)
+        want_rows, want_kinds = f4._violations(builtin, resolution)
+        got_rows, got_kinds = f4._violations(Delegate(builtin), resolution)
+        assert [bits(a) for a in got_rows] == [bits(a) for a in want_rows]
+        assert [a.tobytes() for a in got_kinds] == [a.tobytes() for a in want_kinds]
+        assert all(len(a) for a in want_rows)
+
+    def test_scan_holds_its_violations_once(self):
+        # locality breaks the band at 275,840 of the 75^3 nodes: 12.9 MiB of
+        # rows and int8 codes, 14.6 MiB traced (32.7 MiB for 14.7 MiB when
+        # the blocks were joined and each code array held the node indices)
+        tracemalloc.start()
+        try:
+            rows, kinds = f4._violations(F4Candidate.builtin("locality"), 75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(a.nbytes for a in (*rows, *kinds))
 
     def test_scan_memory_stays_near_the_lattice(self):
         # one block, whatever the resolution: product-diagonal breaks nothing
