@@ -57,8 +57,8 @@ NUMERIC = [
     # 30^3 nodes are two blocks of the scan, with thousands of band violations
     "scan --candidate locality --resolution 30",
     "scan --candidate product-diagonal --resolution 5",
-    # 8 blocks with no violation, where product has 48: the diagonal nodes
-    # alone keep the forced value
+    # 8 blocks and no violation, where product has 48 diagonal ones: a wrong
+    # diagonal mask in the scan would show here
     "scan --candidate product-diagonal --resolution 50",
     # 26^3 nodes are more than one block of the scan
     f"scan {_GRID} --resolution 26",
